@@ -4,9 +4,10 @@ Iterative minimum-label propagation expressed with the DataFrame API:
 every node starts with its own id as label; each round every node takes
 the minimum label among itself and its neighbours, until no label
 changes. Lineage is cut every round with ``localCheckpoint`` so long
-chains do not blow up the planner.
+chains do not blow up the planner. ``spark_match.cnc_native`` is the only
+caller: CNC is defined as keeping the components of size 2.
 
-Node-id convention (used across the repo): the bipartite sides share
+Node-id convention: the bipartite sides share
 one global id space with left nodes encoded as ``2 * v1`` and right
 nodes as ``2 * v2 + 1``.
 """
@@ -25,7 +26,7 @@ def encode_global(df: DataFrame, v1: str = "v1", v2: str = "v2") -> DataFrame:
     )
 
 
-def connected_components(edges: DataFrame, max_iter: int = 50) -> DataFrame:
+def connected_components(edges: DataFrame) -> DataFrame:
     """Label each node of the graph with its component's minimum node id.
 
     Parameters
@@ -46,7 +47,8 @@ def connected_components(edges: DataFrame, max_iter: int = 50) -> DataFrame:
         .withColumn("component", F.col("node"))
         .localCheckpoint()
     )
-    for _ in range(max_iter):
+    # labels only decrease, so this ends after at most diameter + 1 rounds
+    while True:
         # For every node: min neighbour label.
         nbr_min = (
             und.join(labels.withColumnRenamed("node", "dst"), on="dst")

@@ -13,8 +13,8 @@ lower right id), so repeated runs produce identical output.
 
 These kernels are exact implementations of the paper's Algorithms 1-8
 and run either on the driver (threshold sweeps) or inside Spark tasks
-(``core.spark_match`` groups edges by connected component and applies
-them per component via ``applyInPandas``).
+(``core.spark_match`` applies them to the whole edge list as one
+``applyInPandas`` group).
 """
 from __future__ import annotations
 

@@ -6,15 +6,13 @@
 
 Execution strategy
 ------------------
-Every algorithm except BAH decomposes over connected components of the
-similarity graph: matching decisions never cross components, and within
-a component the algorithm's global processing order restricted to that
-component is preserved. So the transformation (i) computes connected
-components distributedly (``core.components``), (ii) groups edges by
-component, and (iii) runs the exact reference matcher per component via
-``applyInPandas``. BAH performs a *global* random search, so it runs as
-a single group (documented limitation; the paper's BAH is inherently
-sequential/stochastic anyway).
+``match_edges`` puts every edge in one group and runs the exact
+reference matcher on it via ``applyInPandas``, for all 8 algorithms.
+Splitting by connected component would be wrong for two of them: RCA
+chooses its row scan or its column scan once for the whole graph (Alg. 3
+lines 29-36), and BAH searches the whole graph at random (Alg. 4). One
+group is also faster: it costs a fixed number of Spark jobs, whereas
+label propagation needs one round per step of the graph's diameter.
 
 Natively-dataflow implementations (no per-group Python kernels) are
 also provided for CNC, EXC and UMC; ``tests/test_spark_match.py``
@@ -47,20 +45,14 @@ def match_edges(edges: DataFrame, algorithm: str, t: float, **params) -> DataFra
         raise ValueError(f"unknown algorithm {algorithm!r}")
     matcher = ALGORITHMS[algorithm]
 
-    if algorithm == "BAH":
-        keyed = edges.withColumn("component", F.lit(0))
-    else:
-        enc = encode_global(edges)
-        labels = connected_components(enc).withColumnRenamed("node", "src")
-        keyed = enc.join(labels, on="src").drop("src", "dst")
-
     def run(pdf: pd.DataFrame) -> pd.DataFrame:
         pairs = matcher(
             pdf["v1"].to_numpy(), pdf["v2"].to_numpy(), pdf["w"].to_numpy(), t, **params
         )
         return pd.DataFrame({"v1": pairs[:, 0], "v2": pairs[:, 1]})
 
-    return keyed.groupBy("component").applyInPandas(run, schema=_PAIR_SCHEMA)
+    one_group = edges.select("v1", "v2", "w", F.lit(0).alias("group"))
+    return one_group.groupBy("group").applyInPandas(run, schema=_PAIR_SCHEMA)
 
 
 def cnc_native(edges: DataFrame, t: float) -> DataFrame:
@@ -100,7 +92,7 @@ def exc_native(edges: DataFrame, t: float) -> DataFrame:
     return best_l.join(best_r, on=["v1", "v2", "w"]).select("v1", "v2")
 
 
-def umc_native(edges: DataFrame, t: float, max_iter: int = 60) -> DataFrame:
+def umc_native(edges: DataFrame, t: float) -> DataFrame:
     """UMC as iterated locally-dominant edge matching.
 
     An edge that is the top choice of both its endpoints (under the
@@ -112,9 +104,8 @@ def umc_native(edges: DataFrame, t: float, max_iter: int = 60) -> DataFrame:
     remaining = edges.filter(F.col("w") > t).localCheckpoint()
     spark = edges.sparkSession
     matched = spark.createDataFrame([], schema="v1 long, v2 long")
-    for _ in range(max_iter):
-        if remaining.isEmpty():
-            break
+    # each round takes at least the heaviest remaining edge, so this ends
+    while not remaining.isEmpty():
         dominant = (
             _rank_one("v1", remaining)
             .join(_rank_one("v2", remaining), on=["v1", "v2", "w"])

@@ -36,8 +36,10 @@ class TestConnectedComponents:
         assert run_cc(spark, [(0, 1)]) == {0: 0, 1: 0}
 
     def test_chain(self, spark):
-        got = run_cc(spark, [(0, 1), (1, 2), (2, 3), (3, 4)])
-        assert set(got.values()) == {0}
+        # label 0 reaches the far end of the 65-node path in round 64
+        for n in (5, 65):
+            got = run_cc(spark, [(k, k + 1) for k in range(n - 1)])
+            assert set(got.values()) == {0}, n
 
     def test_two_components(self, spark):
         got = run_cc(spark, [(0, 1), (2, 3)])
