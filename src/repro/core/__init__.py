@@ -3,7 +3,7 @@ algorithms over similarity-graph edge lists, a distributed Spark
 execution path, effectiveness metrics, and the threshold-sweep
 protocol."""
 from .matchers import ALGORITHM_ORDER, ALGORITHMS
-from .metrics import PRF, prf_dataframe, prf_from_arrays, prf_from_sets
+from .metrics import PRF, prf_from_arrays, prf_from_sets
 from .sweep import THRESHOLDS, sweep_graph
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "ALGORITHM_ORDER",
     "PRF",
     "THRESHOLDS",
-    "prf_dataframe",
     "prf_from_arrays",
     "prf_from_sets",
     "sweep_graph",

@@ -4,8 +4,9 @@ Iterative minimum-label propagation expressed with the DataFrame API:
 every node starts with its own id as label; each round every node takes
 the minimum label among itself and its neighbours, until no label
 changes. Lineage is cut every round with ``localCheckpoint`` so long
-chains do not blow up the planner. ``spark_match.cnc_native`` is the only
-caller: CNC is defined as keeping the components of size 2.
+chains do not blow up the planner. Nothing in ``src/`` calls it: it is
+kept because the ``perfbench`` traced ``serve`` wraps
+``spark_match.connected_components`` by name.
 
 Node-id convention: the bipartite sides share
 one global id space with left nodes encoded as ``2 * v1`` and right

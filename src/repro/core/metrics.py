@@ -4,16 +4,14 @@ Precision  = |predicted 2-node partitions that are true matches| / |predicted|
 Recall     = |true matches found| / |ground-truth matches|
 F-Measure  = harmonic mean of the two.
 
-Both a numpy fast path (used inside sweep tasks) and a DataFrame path
-(used by the distributed transformation tests, cross-checked against
-the DuckDB oracle) are provided.
+Computed in-process from pair sets or a matcher's output array; the
+sweep tasks and the tables use these.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
 
 
 @dataclass(frozen=True)
@@ -42,13 +40,3 @@ def prf_from_arrays(pairs: np.ndarray, truth: set[tuple[int, int]]) -> PRF:
     predicted = {(int(a), int(b)) for a, b in pairs}
     return prf_from_sets(predicted, truth)
 
-
-def prf_dataframe(predicted: DataFrame, truth: DataFrame) -> PRF:
-    """Distributed P/R/F1: both inputs are DataFrames(v1, v2)."""
-    n_pred = predicted.count()
-    n_true = truth.count()
-    n_correct = predicted.join(truth, on=["v1", "v2"]).count()
-    p = n_correct / n_pred if n_pred else 0.0
-    r = n_correct / n_true if n_true else 0.0
-    f1 = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
-    return PRF(p, r, f1, n_pred, n_true, n_correct)

@@ -49,7 +49,6 @@ def sweep_graph(
     thresholds: Iterable[float] = THRESHOLDS,
     timing_reps: int = 3,
     bah_max_moves: int = 10_000,
-    bah_max_seconds: float | None = None,
     seed: int = 42,
 ) -> list[dict]:
     """Sweep one similarity graph; one result row per algorithm.
@@ -78,11 +77,7 @@ def sweep_graph(
             params = {"basis": basis}
             timed = lambda: matcher(v1, v2, w, t_star, basis=basis)  # noqa: E731
         elif algo == "BAH":
-            params = {
-                "max_moves": bah_max_moves,
-                "max_seconds": bah_max_seconds,
-                "seed": seed,
-            }
+            params = {"max_moves": bah_max_moves, "seed": seed}
             t_star, prf = _best_over_thresholds(
                 lambda t: matcher(v1, v2, w, t, **params), truth, thresholds
             )

@@ -1,14 +1,8 @@
-"""Effectiveness measures: numpy path, DataFrame path, DuckDB oracle."""
+"""Effectiveness measures: pair sets and matcher output arrays."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.metrics import (
-    prf_dataframe,
-    prf_from_arrays,
-    prf_from_sets,
-)
-from repro.oracle import assert_equivalent
+from repro.core.metrics import prf_from_arrays, prf_from_sets
 
 
 class TestPRFSets:
@@ -45,31 +39,3 @@ class TestPRFArrays:
         r = prf_from_arrays(pairs, {(1, 1), (2, 2)})
         assert r.precision == 0.5 and r.recall == 0.5
 
-
-class TestPRFDataFrame:
-    def test_distributed_equals_local(self, spark):
-        pred = spark.createDataFrame(
-            pd.DataFrame({"v1": [1, 2, 3], "v2": [1, 3, 3]})
-        )
-        truth = spark.createDataFrame(
-            pd.DataFrame({"v1": [1, 2], "v2": [1, 2]})
-        )
-        r = prf_dataframe(pred, truth)
-        local = prf_from_sets({(1, 1), (2, 3), (3, 3)}, {(1, 1), (2, 2)})
-        assert r == local
-
-    def test_intersection_join_against_duckdb(self, spark):
-        """The P/R join logic cross-checked by the DuckDB oracle."""
-        pred_pdf = pd.DataFrame({"v1": [1, 2, 3, 4], "v2": [1, 3, 3, 4]})
-        truth_pdf = pd.DataFrame({"v1": [1, 2, 4], "v2": [1, 2, 4]})
-        pred = spark.createDataFrame(pred_pdf)
-        truth = spark.createDataFrame(truth_pdf)
-        correct = pred.join(truth, on=["v1", "v2"]).selectExpr(
-            "count(*) as n_correct"
-        )
-        assert_equivalent(
-            correct,
-            "SELECT count(*) AS n_correct FROM pred JOIN truth USING (v1, v2)",
-            pred=pred_pdf,
-            truth=truth_pdf,
-        )

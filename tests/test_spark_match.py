@@ -1,11 +1,14 @@
-"""The distributed matching transformation vs the reference matchers,
-and the native dataflow implementations (CNC/EXC/UMC) vs both."""
+"""The distributed matching transformation, and the ``*_native`` serve
+variant names that call it, vs the reference matchers."""
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS
 from repro.core.spark_match import cnc_native, exc_native, match_edges, umc_native
+from repro.core.sweep import THRESHOLDS
 from repro.datasets.generator import generate_pandas
 from repro.datasets.registry import SPECS
 from repro.simgraph.build import _texts_schema_agnostic, minmax
@@ -85,20 +88,29 @@ def test_distributed_equals_reference(spark, d1_cosine_tf, algo):
 
 
 def test_match_edges_jobs_independent_of_graph_shape(spark):
-    """A 10-node and an 80-node chain cost the same number of Spark jobs:
-    no per-round loop (such as label propagation) in the request path."""
+    """A 10-node and an 80-node chain cost the same number of Spark jobs,
+    through ``match_edges`` and through each ``*_native`` name: no
+    per-round loop (such as label propagation) in the request path."""
     sc = spark.sparkContext
-    jobs = []
-    for n in (10, 80):
-        group = f"match-edges-chain-{n}"
-        sc.setJobGroup(group, group)
-        try:
-            match_edges(to_df(spark, *chain_graph(n)), "UMC", 0.1).collect()
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-        jobs.append(len(sc.statusTracker().getJobIdsForGroup(group)))
-    assert jobs[0] > 0
-    assert jobs[0] == jobs[1]
+    calls = {
+        "match_edges-UMC": lambda df: match_edges(df, "UMC", 0.1),
+        "cnc_native": lambda df: cnc_native(df, 0.1),
+        "exc_native": lambda df: exc_native(df, 0.1),
+        "umc_native": lambda df: umc_native(df, 0.1),
+    }
+    jobs = {}
+    for name, call in calls.items():
+        counts = []
+        for n in (10, 80):
+            group = f"{name}-chain-{n}"
+            sc.setJobGroup(group, group)
+            try:
+                call(to_df(spark, *chain_graph(n))).collect()
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            counts.append(len(sc.statusTracker().getJobIdsForGroup(group)))
+        jobs[name] = tuple(counts)
+    assert all(0 < short == long for short, long in jobs.values()), jobs
 
 
 def test_unknown_algorithm_rejected(spark):
@@ -133,12 +145,59 @@ def test_exc_native_equals_reference(spark, seed):
     ids=["7", "8", "chain80"],
 )
 def test_umc_native_equals_sequential_greedy(spark, graph):
-    """Iterated locally-dominant matching == greedy UMC. On the chain
-    every round takes one edge, so it needs 80 rounds."""
+    """``umc_native`` == greedy UMC, also on the all-ties chain."""
     v1, v2, w = graph
     expected = {(int(a), int(b)) for a, b in ALGORITHMS["UMC"](v1, v2, w, 0.1)}
     got = collect_pairs(umc_native(to_df(spark, v1, v2, w), 0.1))
     assert got == expected
+
+
+@st.composite
+def chains_and_blocks(draw):
+    """A union of disjoint chains and complete blocks, with all-equal
+    weights (what ``minmax`` emits when all raw weights are equal), a few
+    tied levels or distinct weights, and a threshold of the paper's grid."""
+    v1, v2 = [], []
+    n_left = n_right = 0
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            # left i links to right i and right i + step; the degree-1 end
+            # at id 0 is left node 0 for step -1 and right node 0 for +1,
+            # which differ because ties break by node id
+            i = np.arange(draw(st.integers(1, 12)))
+            j = i + draw(st.sampled_from([-1, 1]))
+            inside = (j >= 0) & (j < len(i))
+            a, b = np.concatenate([i, i[inside]]), np.concatenate([i, j[inside]])
+        else:
+            n_a, n_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+            a, b = np.repeat(np.arange(n_a), n_b), np.tile(np.arange(n_b), n_a)
+        v1.append(a + n_left)
+        v2.append(b + n_right)
+        n_left, n_right = n_left + a.max() + 1, n_right + b.max() + 1
+    v1, v2 = np.concatenate(v1).astype(np.int64), np.concatenate(v2).astype(np.int64)
+    m = len(v1)
+    w = draw(
+        st.one_of(
+            st.just([1.0] * m),
+            st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=m, max_size=m),
+            st.permutations([(k + 1) / m for k in range(m)]),
+        )
+    )
+    return v1, v2, np.array(w), draw(st.sampled_from(THRESHOLDS))
+
+
+@given(g=chains_and_blocks())
+@settings(max_examples=12, deadline=None)
+def test_match_edges_equals_reference_on_chains_and_blocks(spark, g):
+    """All 8 algorithms (and so the ``*_native`` names, which call
+    ``match_edges``) on drawn chains and complete blocks with ties."""
+    v1, v2, w, t = g
+    df = to_df(spark, v1, v2, w)
+    for algo in ALGORITHM_ORDER:
+        kw = {"seed": 5} if algo == "BAH" else {}
+        expected = {(int(a), int(b)) for a, b in ALGORITHMS[algo](v1, v2, w, t, **kw)}
+        got = collect_pairs(match_edges(df, algo, t, **kw))
+        assert got == expected, f"{algo}, t={t}"
 
 
 def test_match_edges_empty_result(spark):
