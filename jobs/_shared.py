@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import sys
+import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -27,7 +28,14 @@ def ensure_results(spark, run_dir: str | None = None):
         manifest, results = runner.load_results(run_dir)
     else:
         os.makedirs(run_dir, exist_ok=True)
-        manifest, results = runner.run_all(spark, run_dir)
+        t0 = time.perf_counter()
+        manifest = runner.build_all_graphs(spark, run_dir)
+        t1 = time.perf_counter()
+        results = runner.run_sweep(spark, manifest, run_dir)
+        print(
+            f"build_all_graphs {t1 - t0:.0f}s, "
+            f"run_sweep {time.perf_counter() - t1:.0f}s"
+        )
     return run_dir, manifest, results, cleaning.clean(results)
 
 

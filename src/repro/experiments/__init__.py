@@ -6,7 +6,6 @@ from .runner import (
     build_all_graphs,
     load_results,
     normalized_size,
-    run_all,
     run_sweep,
 )
 from .tables import (
@@ -33,7 +32,6 @@ __all__ = [
     "load_results",
     "nemenyi",
     "normalized_size",
-    "run_all",
     "run_sweep",
     "table2",
     "table3",

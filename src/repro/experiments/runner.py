@@ -4,11 +4,14 @@ Stage 1 — ``build_all_graphs``: every similarity function applied to
 every dataset analogue, written as parquet edge lists + manifest.
 
 Stage 2 — ``run_sweep``: the threshold-sweep protocol executed as a
-*distributed parameter sweep*: one Spark task per (graph, algorithm),
-scheduled with ``mapInPandas`` over the task list (largest graphs
-first so stragglers start early). Each task loads its edge list,
-sweeps t in {0.05..1.0}, picks the largest threshold with max F1 and
-measures the matcher run-time at it.
+*distributed parameter sweep* whose unit of work is a graph. The graphs
+are packed into one bin per core of the session with LPT (largest
+``n_edges`` first, each into the lightest bin so far; Graham, SIAM J.
+Appl. Math. 1969), and one Spark job runs one bin per task. A task
+reads each of its graphs' edge lists and each dataset's ground truth
+once, and sweeps every algorithm over t in {0.05..1.0} on the graph
+(``core.sweep.sweep_graph``): the largest threshold with max F1, and
+the matcher run-time at it.
 
 Results are persisted to parquet so the table builders and jobs can
 re-read them without recomputing.
@@ -17,9 +20,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Iterator
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
@@ -28,11 +29,14 @@ from ..core.sweep import THRESHOLDS, sweep_graph
 from ..datasets.registry import DATASET_ORDER, SPECS
 from ..simgraph.build import FAMILIES, build_dataset_graphs
 
-_RESULT_SCHEMA = (
-    "graph_id string, algorithm string, best_t double, precision double, "
-    "recall double, f1 double, n_predicted long, n_correct long, "
-    "runtime_ms double, params string"
-)
+_RESULT_COLUMNS = [
+    "graph_id", "algorithm", "best_t", "precision", "recall", "f1",
+    "n_predicted", "n_correct", "runtime_ms", "params",
+]
+_MANIFEST_COLUMNS = [
+    "graph_id", "dataset", "category", "family", "model", "measure",
+    "n_edges", "gt_covered", "n_gt",
+]
 
 
 def build_all_graphs(
@@ -50,6 +54,21 @@ def build_all_graphs(
     return manifest
 
 
+def _lpt_bins(graphs: list[tuple], sizes: list[int], n_bins: int) -> list[list]:
+    """LPT: biggest first, each into the lightest bin so far.
+
+    Ties go to the bin with fewer graphs, so no bin is left empty while
+    another holds two graphs of zero size.
+    """
+    bins: list[list] = [[] for _ in range(n_bins)]
+    loads = [0] * n_bins
+    for size, graph in sorted(zip(sizes, graphs), key=lambda p: -p[0]):
+        k = min(range(n_bins), key=lambda b: (loads[b], len(bins[b])))
+        bins[k].append(graph)
+        loads[k] += size
+    return bins
+
+
 def run_sweep(
     spark: SparkSession,
     manifest: pd.DataFrame,
@@ -61,78 +80,43 @@ def run_sweep(
     bah_max_moves: int = 10_000,
 ) -> pd.DataFrame:
     """Stage 2: the distributed (graph x algorithm) parameter sweep."""
-    gt_paths = {
-        ds: os.path.join(out_dir, f"{ds}__gt.parquet")
-        for ds in manifest["dataset"].unique()
-    }
-    tasks = []
-    # biggest graphs first: long tasks start before short ones
-    ordered = manifest.sort_values("n_edges", ascending=False)
-    for _, g in ordered.iterrows():
-        for algo in algorithms:
-            tasks.append(
-                {
-                    "graph_id": g["graph_id"],
-                    "path": g["path"],
-                    "gt_path": gt_paths[g["dataset"]],
-                    "algorithm": algo,
-                }
-            )
-    tasks_pdf = pd.DataFrame(tasks)
-    n_slices = max(1, len(tasks_pdf))
-    tdf = spark.createDataFrame(tasks_pdf).repartition(min(n_slices, 256))
-    reps, grid, moves = timing_reps, [float(t) for t in thresholds], bah_max_moves
+    graphs = [
+        (g.graph_id, g.path, os.path.join(out_dir, f"{g.dataset}__gt.parquet"))
+        for g in manifest.itertuples()
+    ]
+    sc = spark.sparkContext
+    bins = _lpt_bins(
+        graphs, manifest["n_edges"].tolist(), min(sc.defaultParallelism, len(graphs))
+    )
+    algos, grid = list(algorithms), [float(t) for t in thresholds]
+    reps, moves = timing_reps, bah_max_moves
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            out = []
-            for _, task in pdf.iterrows():
-                edges = pd.read_parquet(task["path"])
-                gt = pd.read_parquet(task["gt_path"])
-                truth = set(zip(gt["v1"].astype(int), gt["v2"].astype(int)))
-                rows = sweep_graph(
-                    edges["v1"].to_numpy(),
-                    edges["v2"].to_numpy(),
-                    edges["w"].to_numpy(),
-                    truth,
-                    algorithms=[task["algorithm"]],
-                    thresholds=grid,
-                    timing_reps=reps,
-                    bah_max_moves=moves,
-                )
-                for r in rows:
-                    r["graph_id"] = task["graph_id"]
-                    r["params"] = json.dumps(r["params"])
-                    out.append(r)
-            cols = [
-                "graph_id", "algorithm", "best_t", "precision", "recall",
-                "f1", "n_predicted", "n_correct", "runtime_ms", "params",
-            ]
-            yield pd.DataFrame(out)[cols] if out else pd.DataFrame(columns=cols)
+    def run_bin(graphs_in_bin):
+        truths = {}
+        for graph_id, path, gt_path in graphs_in_bin:
+            if gt_path not in truths:
+                gt = pd.read_parquet(gt_path)
+                truths[gt_path] = set(zip(gt["v1"].astype(int), gt["v2"].astype(int)))
+            edges = pd.read_parquet(path)
+            for r in sweep_graph(
+                edges["v1"].to_numpy(),
+                edges["v2"].to_numpy(),
+                edges["w"].to_numpy(),
+                truths[gt_path],
+                algorithms=algos,
+                thresholds=grid,
+                timing_reps=reps,
+                bah_max_moves=moves,
+            ):
+                yield {**r, "graph_id": graph_id, "params": json.dumps(r["params"])}
 
-    res = tdf.mapInPandas(kernel, schema=_RESULT_SCHEMA).toPandas()
-    results = res.merge(
-        manifest[
-            ["graph_id", "dataset", "category", "family", "model", "measure",
-             "n_edges", "gt_covered", "n_gt"]
-        ],
-        on="graph_id",
+    # one slice per bin: exactly one bin per task, all in one job
+    rows = sc.parallelize(bins, len(bins)).flatMap(run_bin).collect() if bins else []
+    results = pd.DataFrame(rows, columns=_RESULT_COLUMNS).merge(
+        manifest[_MANIFEST_COLUMNS], on="graph_id"
     )
     results.to_parquet(os.path.join(out_dir, "results.parquet"))
     return results
-
-
-def run_all(
-    spark: SparkSession,
-    out_dir: str,
-    datasets: list[str] = DATASET_ORDER,
-    families: list[str] = FAMILIES,
-    **sweep_kw,
-) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Convenience: stage 1 + stage 2. Returns (manifest, results)."""
-    manifest = build_all_graphs(spark, out_dir, datasets, families)
-    results = run_sweep(spark, manifest, out_dir, **sweep_kw)
-    return manifest, results
 
 
 def load_results(out_dir: str) -> tuple[pd.DataFrame, pd.DataFrame]:

@@ -1,4 +1,5 @@
 """Integration: graph factory + distributed sweep on a tiny dataset."""
+import json
 import os
 
 import numpy as np
@@ -114,20 +115,54 @@ class TestRunSweep:
         assert os.path.exists(os.path.join(out, "results.parquet"))
 
     def test_sweep_consistent_with_local(self, swept, built):
-        """A distributed task's row must equal a driver-side sweep."""
+        """Every distributed (graph, algorithm) row equals a driver-side sweep."""
         from repro.core.sweep import sweep_graph
 
         out, _ = built
         sub, results = swept
-        row = results[results["algorithm"] == "UMC"].iloc[0]
-        edges = pd.read_parquet(
-            sub[sub["graph_id"] == row["graph_id"]]["path"].iloc[0]
-        )
         gt = pd.read_parquet(os.path.join(out, "TT__gt.parquet"))
         truth = set(zip(gt["v1"].astype(int), gt["v2"].astype(int)))
-        (local,) = sweep_graph(
-            edges["v1"].to_numpy(), edges["v2"].to_numpy(),
-            edges["w"].to_numpy(), truth, algorithms=["UMC"], timing_reps=1,
-        )
-        assert local["f1"] == pytest.approx(row["f1"])
-        assert local["best_t"] == pytest.approx(row["best_t"])
+        got = {(r.graph_id, r.algorithm): r for r in results.itertuples()}
+        for g in sub.itertuples():
+            edges = pd.read_parquet(g.path)
+            for local in sweep_graph(
+                edges["v1"].to_numpy(), edges["v2"].to_numpy(),
+                edges["w"].to_numpy(), truth, timing_reps=1,
+            ):
+                row = got[(g.graph_id, local["algorithm"])]
+                key = (g.graph_id, local["algorithm"])
+                assert row.best_t == local["best_t"], key
+                assert row.n_predicted == local["n_predicted"], key
+                assert row.n_correct == local["n_correct"], key
+                assert json.loads(row.params) == local["params"], key
+
+    def test_empty_manifest(self, spark, built, tmp_path):
+        out, manifest = built
+        results = run_sweep(spark, manifest.head(0), str(tmp_path))
+        assert results.empty
+        assert {"graph_id", "algorithm", "best_t", "f1", "params", "dataset",
+                "family", "n_edges"} <= set(results.columns)
+        assert os.path.exists(os.path.join(str(tmp_path), "results.parquet"))
+
+    def test_one_job_one_task_per_bin(self, spark, built):
+        """One Spark job, one task per core of the session (or per graph)."""
+        out, manifest = built
+        sc = spark.sparkContext
+        for n_graphs in (2, 7):
+            group = f"run-sweep-{n_graphs}"
+            sc.setJobGroup(group, group)
+            try:
+                run_sweep(
+                    spark, manifest.head(n_graphs), out,
+                    algorithms=["CNC"], thresholds=[0.5], timing_reps=1,
+                )
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            tracker = sc.statusTracker()
+            jobs = tracker.getJobIdsForGroup(group)
+            assert len(jobs) == 1, group
+            tasks = sum(
+                tracker.getStageInfo(sid).numTasks
+                for sid in tracker.getJobInfo(jobs[0]).stageIds
+            )
+            assert tasks == min(sc.defaultParallelism, n_graphs), group

@@ -1,13 +1,14 @@
 """Hypothesis property tests: every matcher emits a valid 1-1 matching
 over existing edges; algorithm-specific invariants (UMC = sequential
 greedy, EXC subset of mutual-best, CNC isolated edges, RCA/BAH at
-least threshold-weight pairs)."""
+least threshold-weight pairs; BAH equal to its numpy-scalar loop)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS, cnc, exc, umc
+from repro.core.matchers.base import EMPTY_PAIRS, as_edge_arrays, compact_ids, pairs_array
 
 
 @st.composite
@@ -132,3 +133,95 @@ def test_umc_is_maximal(g):
     for a, b, s in zip(v1, v2, w):
         if s > t:
             assert int(a) in ml or int(b) in mr
+
+
+def bah_numpy_loop(v1, v2, w, t, *, max_moves=10_000, seed=42):
+    """BAH's move loop over numpy scalars, kept verbatim as the oracle
+    for the Python-scalar loop of ``matchers.bah``."""
+    v1, v2, w = as_edge_arrays(v1, v2, w)
+    keep = w > t  # contributions exist only for edges above threshold
+    if not keep.any():
+        return EMPTY_PAIRS
+    a, b, s = v1[keep], v2[keep], w[keep]
+
+    la, ua = compact_ids(a)
+    lb, ub = compact_ids(b)
+    n_left, n_right = len(ua), len(ub)
+    # "big" is the larger collection (the one whose nodes get swapped).
+    swap_sides = n_left < n_right
+    if swap_sides:
+        big, small, n_big, n_small = lb, la, n_right, n_left
+    else:
+        big, small, n_big, n_small = la, lb, n_left, n_right
+
+    d = np.zeros((n_big, n_small), dtype=np.float64)
+    d[big, small] = s  # duplicate edges impossible: (v1, v2) is a key
+
+    # Initial assignment: big node i is paired with small node i.
+    partner = np.full(n_big, -1, dtype=np.int64)
+    partner[:n_small] = np.arange(n_small)
+
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n_big, size=(max_moves, 2))
+    for step in range(max_moves):
+        i, j = int(idx[step, 0]), int(idx[step, 1])
+        if i == j:
+            continue
+        pi, pj = partner[i], partner[j]
+        old = (d[i, pi] if pi >= 0 else 0.0) + (d[j, pj] if pj >= 0 else 0.0)
+        new = (d[i, pj] if pj >= 0 else 0.0) + (d[j, pi] if pi >= 0 else 0.0)
+        if new - old >= 0:  # Alg. 4 line 19 accepts neutral swaps
+            partner[i], partner[j] = pj, pi
+
+    out = []
+    for i in range(n_big):
+        p = partner[i]
+        if p >= 0 and d[i, p] > 0:
+            if swap_sides:
+                out.append((int(ua[p]), int(ub[i])))
+            else:
+                out.append((int(ua[i]), int(ub[p])))
+    return pairs_array(out)
+
+
+@st.composite
+def bah_inputs(draw):
+    """Graphs with sparse, non-contiguous ids on either side being the
+    larger one; all-equal, few-level tied or distinct weights; t from
+    the grid or equal to an edge weight; any move budget and seed."""
+    left = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    right = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    possible = [(a, b) for a in left for b in right]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=1, max_size=60, unique=True)
+    )
+    k = len(edges)
+    kind = draw(st.sampled_from(["equal", "levels", "distinct"]))
+    if kind == "equal":
+        ws = [1.0] * k
+    elif kind == "levels":
+        ws = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0]), min_size=k, max_size=k))
+    else:
+        ws = [
+            x / 10_000.0
+            for x in draw(
+                st.lists(st.integers(1, 10_000), min_size=k, max_size=k, unique=True)
+            )
+        ]
+    t = draw(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95]), st.sampled_from(ws)))
+    v1 = np.array([a for a, _ in edges], dtype=np.int64)
+    v2 = np.array([b for _, b in edges], dtype=np.int64)
+    moves = draw(st.integers(0, 3_000))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return v1, v2, np.array(ws, dtype=np.float64), t, moves, seed
+
+
+@given(g=bah_inputs())
+@settings(max_examples=150, deadline=None)
+def test_bah_equals_numpy_scalar_loop(g):
+    """The Python-scalar move loop is bit-identical to the numpy one."""
+    v1, v2, w, t, moves, seed = g
+    got = ALGORITHMS["BAH"](v1, v2, w, t, max_moves=moves, seed=seed)
+    want = bah_numpy_loop(v1, v2, w, t, max_moves=moves, seed=seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
