@@ -2,7 +2,7 @@
 similarity measures (paper Sec. 4 / Figure 6), graph factory and
 normalisation."""
 from .build import FAMILIES, build_dataset_graphs, minmax
-from .graph_model import GRAPH_MEASURES, GRAPH_MODELS, spark_graph_edges
+from .graph_model import GRAPH_MEASURES, GRAPH_MODELS, graph_edges
 from .ngrams import char_ngrams, entity_text, normalize, token_ngrams, tokens
 from .semantic import SEMANTIC_MEASURES, SEMANTIC_MODELS, semantic_edges
 from .strings import (
@@ -12,12 +12,7 @@ from .strings import (
     jaro,
     schema_based_batch,
 )
-from .vectors import (
-    VECTOR_MEASURES,
-    VECTOR_MODELS,
-    dense_vector_edges,
-    spark_vector_edges,
-)
+from .vectors import VECTOR_MEASURES, VECTOR_MODELS, dense_vector_edges
 
 __all__ = [
     "CHAR_MEASURES",
@@ -34,13 +29,12 @@ __all__ = [
     "char_ngrams",
     "dense_vector_edges",
     "entity_text",
+    "graph_edges",
     "jaro",
     "minmax",
     "normalize",
     "schema_based_batch",
     "semantic_edges",
-    "spark_graph_edges",
-    "spark_vector_edges",
     "token_ngrams",
     "tokens",
 ]

@@ -24,11 +24,11 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from ..datasets.generator import DatasetSpec, generate_pandas
-from .graph_model import GRAPH_MODELS, spark_graph_edges
+from .graph_model import GRAPH_MEASURES, GRAPH_MODELS, graph_edges
 from .ngrams import entity_text, normalize
 from .semantic import SEMANTIC_MEASURES, SEMANTIC_MODELS, semantic_edges
 from .strings import SCHEMA_BASED_MEASURES, schema_based_batch
-from .vectors import VECTOR_MODELS, dense_vector_edges, spark_vector_edges
+from .vectors import VECTOR_MEASURES, VECTOR_MODELS, dense_vector_edges
 
 FAMILIES = ["sb_syn", "sa_syn", "sb_sem", "sa_sem"]
 
@@ -61,45 +61,72 @@ def _emit(
         yield m, minmax(wide[["v1", "v2", m]].rename(columns={m: "w"}))
 
 
+#: Pairs per ``schema_based_batch`` call, which bounds its DP arrays.
+_STRING_BATCH = 10_000
+
+
+def _per_side1(
+    spark: SparkSession, side1: pd.DataFrame, schema: str, score
+) -> pd.DataFrame:
+    """One Spark job: the frames ``score(rows)`` yields for each block of
+    side-1 rows, collected.
+
+    ``spark.createDataFrame`` slices ``side1`` into
+    min(defaultParallelism, n1) partitions, so the job has that many
+    tasks; side 2 travels in ``score``'s closure.
+    """
+
+    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        for pdf in batches:
+            yield from score(pdf)
+
+    return spark.createDataFrame(side1).mapInPandas(kernel, schema=schema).toPandas()
+
+
 def _schema_based_syntactic(
     spark: SparkSession, df1: pd.DataFrame, df2: pd.DataFrame, attr: str
 ) -> pd.DataFrame:
-    """All 15 schema-based measures for all pairs, via mapInPandas."""
-    p1 = spark.createDataFrame(
-        pd.DataFrame({"v1": df1["id"], "val1": df1[attr].astype(object)})
-    )
-    p2 = spark.createDataFrame(
-        pd.DataFrame({"v2": df2["id"], "val2": df2[attr].astype(object)})
-    )
-    pairs = p1.crossJoin(p2).repartition(64)
+    """All 15 schema-based measures for all pairs, in one job over side 1."""
+    ids2 = df2["id"].to_numpy(np.int64)
+    vals2 = df2[attr].astype(object).to_numpy()
     schema = "v1 long, v2 long, " + ", ".join(
         f"{m} double" for m in SCHEMA_BASED_MEASURES
     )
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            sims = schema_based_batch(list(pdf["val1"]), list(pdf["val2"]))
-            sims.insert(0, "v2", pdf["v2"].to_numpy())
-            sims.insert(0, "v1", pdf["v1"].to_numpy())
+    def score(pdf: pd.DataFrame) -> Iterator[pd.DataFrame]:
+        ids1, vals1 = pdf["v1"].to_numpy(np.int64), pdf["val1"].to_numpy()
+        n_pairs = len(pdf) * len(ids2)
+        for lo in range(0, n_pairs, _STRING_BATCH):
+            i, j = np.divmod(np.arange(lo, min(lo + _STRING_BATCH, n_pairs)), len(ids2))
+            sims = schema_based_batch(list(vals1[i]), list(vals2[j]))
+            sims.insert(0, "v2", ids2[j])
+            sims.insert(0, "v1", ids1[i])
             yield sims
 
-    return pairs.mapInPandas(kernel, schema=schema).toPandas()
+    side1 = pd.DataFrame({"v1": df1["id"], "val1": df1[attr].astype(object)})
+    return _per_side1(spark, side1, schema, score)
 
 
 def _semantic(
-    spark: SparkSession, texts1: pd.DataFrame, texts2: pd.DataFrame, model: str
+    spark: SparkSession, texts1: pd.DataFrame, texts2: pd.DataFrame
 ) -> pd.DataFrame:
-    """Distributed all-pairs semantic scoring: side-1 partitions x
-    broadcast side-2."""
-    t2 = texts2  # captured by the closure, broadcast with the task
-    sdf1 = spark.createDataFrame(texts1).repartition(32)
-    schema = "v1 long, v2 long, cosine double, euclid_sim double, wms double"
+    """Every semantic model and measure for all pairs, in one job over
+    side 1; the measure columns are named ``{model}_{measure}``."""
+    cols = [f"{model}_{m}" for model in SEMANTIC_MODELS for m in SEMANTIC_MEASURES]
+    schema = "v1 long, v2 long, " + ", ".join(f"{c} double" for c in cols)
 
-    def kernel(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            yield semantic_edges(pdf, t2, model)
+    def score(pdf: pd.DataFrame) -> Iterator[pd.DataFrame]:
+        frames = [semantic_edges(pdf, texts2, model) for model in SEMANTIC_MODELS]
+        yield pd.concat(
+            [frames[0][["v1", "v2"]]]
+            + [
+                f[SEMANTIC_MEASURES].add_prefix(f"{model}_")
+                for model, f in zip(SEMANTIC_MODELS, frames)
+            ],
+            axis=1,
+        )
 
-    return sdf1.mapInPandas(kernel, schema=schema).toPandas()
+    return _per_side1(spark, texts1, schema, score)
 
 
 def build_dataset_graphs(
@@ -126,22 +153,13 @@ def build_dataset_graphs(
 
     if "sa_syn" in families:
         for kind, n in VECTOR_MODELS:
-            model = f"vector-{kind}{n}"
-            if kind == "char":  # small vocab, huge gram DF: dense matmul
-                wide = dense_vector_edges(sa1, sa2, kind, n)
-            else:  # big vocab, small gram DF: inverted-index join
-                wide = spark_vector_edges(spark, sa1, sa2, kind, n).toPandas()
-            for measure, edges in _emit(
-                wide, [c for c in wide.columns if c not in ("v1", "v2")]
-            ):
-                produced.append(("sa_syn", model, measure, edges))
+            wide = dense_vector_edges(sa1, sa2, kind, n)
+            for measure, edges in _emit(wide, VECTOR_MEASURES):
+                produced.append(("sa_syn", f"vector-{kind}{n}", measure, edges))
         for kind, n in GRAPH_MODELS:
-            model = f"graph-{kind}{n}"
-            wide = spark_graph_edges(spark, sa1, sa2, kind, n).toPandas()
-            for measure, edges in _emit(
-                wide, [c for c in wide.columns if c not in ("v1", "v2")]
-            ):
-                produced.append(("sa_syn", model, measure, edges))
+            wide = graph_edges(sa1, sa2, kind, n)
+            for measure, edges in _emit(wide, GRAPH_MEASURES):
+                produced.append(("sa_syn", f"graph-{kind}{n}", measure, edges))
 
     if "sb_syn" in families:
         wide = _schema_based_syntactic(spark, df1, df2, attr)
@@ -151,9 +169,12 @@ def build_dataset_graphs(
     for family, t1, t2 in (("sb_sem", sb1, sb2), ("sa_sem", sa1, sa2)):
         if family not in families:
             continue
+        wide = _semantic(spark, t1, t2)
         for model in SEMANTIC_MODELS:
-            wide = _semantic(spark, t1, t2, model)
-            for measure, edges in _emit(wide, SEMANTIC_MEASURES):
+            per_model = wide.rename(
+                columns={f"{model}_{m}": m for m in SEMANTIC_MEASURES}
+            )
+            for measure, edges in _emit(per_model, SEMANTIC_MEASURES):
                 produced.append((family, model, measure, edges))
 
     rows = []

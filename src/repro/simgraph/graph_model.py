@@ -11,11 +11,13 @@ graph similarities of Giannakopoulos et al.:
     OS  = (CoS + VS + NS) / 3
 
 The per-edge min/max ratio is not expressible as a matrix product, so
-this model always uses the distributed inverted-index join, with the
-entity-graph edge key as the join key. ``max_df_frac`` optionally drops
-ubiquitous edge keys (stop-gram pairs) to bound the join fan-out —
-a documented deviation (those keys contribute almost no distinguishing
-signal but dominate the join size).
+:func:`graph_edges` runs an inverted-index join on the driver: edge keys
+are factorised to integers, the two posting lists are merged on them
+with pandas and the ratios summed per entity pair. ``max_df_frac``
+optionally drops ubiquitous edge keys (stop-gram pairs) to bound the
+join fan-out — a documented deviation (those keys contribute almost no
+distinguishing signal but dominate the join size). Graph sizes are
+counted before the cap.
 
 Simplification vs JInsect: the entity graph is built over the entity's
 full (schema-agnostic) text instead of merging per-value graphs with
@@ -24,10 +26,8 @@ single textual value, so the two coincide.
 """
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from .ngrams import grams
 
@@ -54,79 +54,71 @@ def graph_edges_of_text(text: str, kind: str, n: int) -> dict[str, int]:
     return out
 
 
-def _spark_graph_postings(
-    spark: SparkSession, texts: pd.DataFrame, kind: str, n: int, side: str
-) -> DataFrame:
-    """(id, edge key, weight) postings for one collection."""
-    sdf = spark.createDataFrame(texts[["id", "text"]])
+def _postings(texts: pd.DataFrame, kind: str, n: int) -> pd.DataFrame:
+    """(id, ekey, w) postings of one collection's entity graphs."""
+    rows = [
+        (eid, key, w)
+        for eid, text in zip(texts["id"], texts["text"])
+        for key, w in graph_edges_of_text(text, kind, n).items()
+    ]
+    return pd.DataFrame(rows, columns=["id", "ekey", "w"])
 
-    @F.pandas_udf(T.MapType(T.StringType(), T.LongType()))
-    def graph_map(col: pd.Series) -> pd.Series:
-        return col.map(lambda s: graph_edges_of_text(s, kind, n))
 
-    return sdf.select(
-        F.col("id").alias(f"id{side}"),
-        F.explode(graph_map("text")).alias("ekey", f"w{side}"),
+def _pair_sums(p1: pd.DataFrame, p2: pd.DataFrame) -> pd.DataFrame:
+    """(v1, v2, n_common, ratio_sum) of every entity pair whose graphs
+    share an edge key: the postings joined on the key, with each shared
+    key's min/max weight ratio summed per pair."""
+    joined = p1.merge(p2, on="ekey", suffixes=("1", "2"))
+    joined["ratio"] = np.minimum(joined["w1"], joined["w2"]) / np.maximum(
+        joined["w1"], joined["w2"]
+    )
+    return (
+        joined.groupby(["id1", "id2"])
+        .agg(n_common=("ratio", "size"), ratio_sum=("ratio", "sum"))
+        .reset_index()
+        .rename(columns={"id1": "v1", "id2": "v2"})
     )
 
 
-def spark_graph_edges(
-    spark: SparkSession,
+def graph_edges(
     texts1: pd.DataFrame,
     texts2: pd.DataFrame,
     kind: str,
     n: int,
     max_df_frac: float | None = 0.2,
-) -> DataFrame:
+) -> pd.DataFrame:
     """All four graph similarities in one inverted-index join.
 
-    Returns DataFrame(v1, v2, containment, value, nvalue, overall) with
+    Returns a frame (v1, v2, containment, value, nvalue, overall) with
     one row per entity pair sharing at least one graph edge.
     """
-    p1 = _spark_graph_postings(spark, texts1, kind, n, "1").localCheckpoint()
-    p2 = _spark_graph_postings(spark, texts2, kind, n, "2").localCheckpoint()
-    sizes1 = p1.groupBy("id1").agg(F.count("*").alias("g1"))
-    sizes2 = p2.groupBy("id2").agg(F.count("*").alias("g2"))
+    p1, p2 = _postings(texts1, kind, n), _postings(texts2, kind, n)
+    codes, keys = pd.factorize(pd.concat([p1["ekey"], p2["ekey"]], ignore_index=True))
+    p1["ekey"], p2["ekey"] = codes[: len(p1)], codes[len(p1):]
+    sizes1, sizes2 = p1.groupby("id").size(), p2.groupby("id").size()
 
     if max_df_frac is not None:
         cap1 = max(2, int(max_df_frac * texts1.shape[0]))
         cap2 = max(2, int(max_df_frac * texts2.shape[0]))
-        freq = (
-            p1.groupBy("ekey").agg(F.count("*").alias("df1"))
-            .join(p2.groupBy("ekey").agg(F.count("*").alias("df2")), on="ekey")
-            .filter((F.col("df1") > cap1) & (F.col("df2") > cap2))
-            .select("ekey")
-        )
-        p1 = p1.join(freq, on="ekey", how="left_anti")
-        p2 = p2.join(freq, on="ekey", how="left_anti")
+        df1 = np.bincount(p1["ekey"], minlength=len(keys))
+        df2 = np.bincount(p2["ekey"], minlength=len(keys))
+        frequent = (df1 > cap1) & (df2 > cap2)
+        p1 = p1[~frequent[p1["ekey"]]]
+        p2 = p2[~frequent[p2["ekey"]]]
 
-    joined = (
-        p1.join(p2, on="ekey")
-        .groupBy("id1", "id2")
-        .agg(
-            F.count("*").alias("n_common"),
-            F.sum(
-                F.least(F.col("w1"), F.col("w2"))
-                / F.greatest(F.col("w1"), F.col("w2"))
-            ).alias("ratio_sum"),
-        )
+    pairs = _pair_sums(p1, p2)
+    g1 = sizes1.loc[pairs["v1"]].to_numpy(np.float64)
+    g2 = sizes2.loc[pairs["v2"]].to_numpy(np.float64)
+    lo, hi = np.minimum(g1, g2), np.maximum(g1, g2)
+    ratio_sum = pairs["ratio_sum"].to_numpy()
+    out = pd.DataFrame(
+        {
+            "v1": pairs["v1"].to_numpy(np.int64),
+            "v2": pairs["v2"].to_numpy(np.int64),
+            "containment": pairs["n_common"].to_numpy() / lo,
+            "value": ratio_sum / hi,
+            "nvalue": ratio_sum / lo,
+        }
     )
-    return (
-        joined.join(sizes1, on="id1")
-        .join(sizes2, on="id2")
-        .select(
-            F.col("id1").alias("v1"),
-            F.col("id2").alias("v2"),
-            (F.col("n_common") / F.least(F.col("g1"), F.col("g2"))).alias(
-                "containment"
-            ),
-            (F.col("ratio_sum") / F.greatest(F.col("g1"), F.col("g2"))).alias(
-                "value"
-            ),
-            (F.col("ratio_sum") / F.least(F.col("g1"), F.col("g2"))).alias("nvalue"),
-        )
-        .withColumn(
-            "overall",
-            (F.col("containment") + F.col("value") + F.col("nvalue")) / 3.0,
-        )
-    )
+    out["overall"] = (out["containment"] + out["value"] + out["nvalue"]) / 3.0
+    return out

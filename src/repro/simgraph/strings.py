@@ -14,9 +14,11 @@ substitute — documented in DESIGN.md).
 
 The DP measures are numpy-vectorised over a *batch* of string pairs
 (the batch axis is the vector lane; the DP grid is looped), which is
-what makes the paper's no-blocking all-pairs computation tractable:
-``jobs``/``build`` distribute batches over Spark tasks via
-``mapInPandas``.
+what makes the paper's no-blocking all-pairs computation tractable.
+``simgraph.build`` scores all pairs in one Spark job over side 1: each
+task pairs its slice of side-1 values with every side-2 value and calls
+:func:`schema_based_batch` on at most 10,000 pairs at a time. Jaro,
+q-grams and the token measures are still per-pair Python loops.
 """
 from __future__ import annotations
 

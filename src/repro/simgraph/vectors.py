@@ -5,17 +5,15 @@ weights; pairs are scored with Cosine (TF and TF-IDF), set Jaccard and
 ARCS similarity. IDF is computed over the union of both collections so
 cross-collection weights are comparable.
 
-Two independent implementations cross-validate each other:
+:func:`dense_vector_edges` scores every model in float64 on the driver.
+Only grams that occur on both sides contribute to a dot product, a
+common-gram count or an ARCS sum, so its matrices span those shared grams
+alone (D9's token-2 model: 1,110 of 26K grams). Per-entity totals, norms
+and distinct-gram counts and per-gram document frequencies come from the
+long-form counts over every gram. The tests check all four measures
+against DuckDB SQL over the same postings.
 
-* :func:`spark_vector_edges` — the distributed inverted-index pattern:
-  explode entity n-grams, join the two collections on the gram, and
-  aggregate all four measures' components in a single shuffle. Used for
-  token-level models, whose gram document frequencies are small.
-* :func:`dense_vector_edges` — numpy matmul over dense gram-count
-  matrices. Used for character-level models, whose vocabulary is small
-  but whose gram frequencies would blow up the join.
-
-Both return one row per entity pair with at least one common gram —
+The result has one row per entity pair with at least one common gram —
 the paper's "all pairs with similarity higher than 0", since all four
 measures are positive exactly on common support.
 """
@@ -23,9 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from .ngrams import grams
 
@@ -59,178 +54,63 @@ def _arcs_weight(df1: np.ndarray, df2: np.ndarray) -> np.ndarray:
     return np.log(2.0) / np.log(prod)
 
 
-# ------------------------------------------------------------------ dense path
-
-
 def dense_vector_edges(
     texts1: pd.DataFrame, texts2: pd.DataFrame, kind: str, n: int
 ) -> pd.DataFrame:
-    """All-pairs vector similarities via dense matmul (small vocab)."""
+    """All-pairs vector similarities via float64 matmul over shared grams."""
     g1 = _gram_counts(texts1, kind, n)
     g2 = _gram_counts(texts2, kind, n)
     if g1.empty or g2.empty:
         return pd.DataFrame(columns=_EDGE_COLS)
-    vocab = pd.Index(sorted(set(g1["gram"]).union(g2["gram"])))
-    ids1 = texts1["id"].to_numpy(dtype=np.int64)
-    ids2 = texts2["id"].to_numpy(dtype=np.int64)
-    pos1 = pd.Series(np.arange(len(ids1)), index=ids1)
-    pos2 = pd.Series(np.arange(len(ids2)), index=ids2)
+    df1, df2 = g1.groupby("gram").size(), g2.groupby("gram").size()
+    shared = df1.index.intersection(df2.index)
+    dfs = df1.add(df2, fill_value=0)
+    n_docs = len(texts1) + len(texts2)
 
-    def mat(g: pd.DataFrame, pos: pd.Series, n_rows: int) -> np.ndarray:
-        m = np.zeros((n_rows, len(vocab)), dtype=np.float32)
-        m[pos.loc[g["id"]].to_numpy(), vocab.get_indexer(g["gram"])] = g[
-            "cnt"
-        ].to_numpy(dtype=np.float32)
-        return m
+    def side(g: pd.DataFrame, texts: pd.DataFrame):
+        """Shared-gram tf, tf-idf and presence matrices, then per entity
+        the full-vocabulary tf norm, tf-idf norm and distinct-gram count."""
+        rows, n_rows = pd.Index(texts["id"]).get_indexer(g["id"]), len(texts)
+        cnt = g["cnt"].to_numpy(np.float64)
+        tf = cnt / np.bincount(rows, cnt, n_rows)[rows]
+        ti = tf * np.log(n_docs / (dfs.loc[g["gram"]].to_numpy() + 1.0))
+        cols = shared.get_indexer(g["gram"])
+        on = cols >= 0
 
-    c1 = mat(g1, pos1, len(ids1))
-    c2 = mat(g2, pos2, len(ids2))
-    tf1 = c1 / np.maximum(c1.sum(axis=1, keepdims=True), 1)
-    tf2 = c2 / np.maximum(c2.sum(axis=1, keepdims=True), 1)
-    b1 = (c1 > 0).astype(np.float32)
-    b2 = (c2 > 0).astype(np.float32)
-    n_docs = len(ids1) + len(ids2)
-    df_all = b1.sum(axis=0) + b2.sum(axis=0)
-    idf = np.log(n_docs / (df_all + 1.0)).astype(np.float32)
-    ti1, ti2 = tf1 * idf, tf2 * idf
+        def mat(values: np.ndarray) -> np.ndarray:
+            m = np.zeros((n_rows, len(shared)))
+            m[rows[on], cols[on]] = values[on]
+            return m
 
-    def cos(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        dot = a @ b.T
-        na = np.linalg.norm(a, axis=1, keepdims=True)
-        nb = np.linalg.norm(b, axis=1, keepdims=True)
-        denom = np.maximum(na @ nb.T, 1e-12)
-        return dot / denom
+        def norm(values: np.ndarray) -> np.ndarray:
+            return np.sqrt(np.bincount(rows, values * values, n_rows))
+
+        return (
+            mat(tf), mat(ti), mat(np.ones(len(g))),
+            norm(tf), norm(ti), np.bincount(rows, minlength=n_rows),
+        )
+
+    tf1, ti1, b1, ntf1, nti1, d1 = side(g1, texts1)
+    tf2, ti2, b2, ntf2, nti2, d2 = side(g2, texts2)
+
+    def cos(a, b, na, nb) -> np.ndarray:
+        return (a @ b.T) / np.maximum(np.outer(na, nb), 1e-12)
 
     common = b1 @ b2.T
-    d1 = b1.sum(axis=1, keepdims=True)
-    d2 = b2.sum(axis=1, keepdims=True)
-    jac = common / np.maximum(d1 + d2.T - common, 1.0)
-    arcs_w = _arcs_weight(b1.sum(axis=0), b2.sum(axis=0)).astype(np.float32)
+    jac = common / np.maximum(d1[:, None] + d2[None, :] - common, 1.0)
+    arcs_w = _arcs_weight(
+        df1.loc[shared].to_numpy(np.float64), df2.loc[shared].to_numpy(np.float64)
+    )
     arcs = (b1 * arcs_w) @ b2.T
 
     i, j = np.nonzero(common > 0)
     return pd.DataFrame(
         {
-            "v1": ids1[i],
-            "v2": ids2[j],
-            "cosine_tf": cos(tf1, tf2)[i, j].astype(np.float64),
-            "cosine_tfidf": cos(ti1, ti2)[i, j].astype(np.float64),
-            "jaccard": jac[i, j].astype(np.float64),
-            "arcs": arcs[i, j].astype(np.float64),
+            "v1": texts1["id"].to_numpy(np.int64)[i],
+            "v2": texts2["id"].to_numpy(np.int64)[j],
+            "cosine_tf": cos(tf1, tf2, ntf1, ntf2)[i, j],
+            "cosine_tfidf": cos(ti1, ti2, nti1, nti2)[i, j],
+            "jaccard": jac[i, j],
+            "arcs": arcs[i, j],
         }
-    )
-
-
-# ------------------------------------------------------------------ spark path
-
-
-def _spark_grams(
-    spark: SparkSession, texts: pd.DataFrame, kind: str, n: int, side: str
-) -> DataFrame:
-    """Exploded (id, gram, cnt) DataFrame for one collection."""
-    sdf = spark.createDataFrame(texts[["id", "text"]])
-
-    @F.pandas_udf(T.ArrayType(T.StringType()))
-    def gram_arr(col: pd.Series) -> pd.Series:
-        return col.map(lambda s: grams(s, kind, n))
-
-    return (
-        sdf.select(F.col("id").alias(f"id{side}"), F.explode(gram_arr("text")).alias("gram"))
-        .groupBy(f"id{side}", "gram")
-        .agg(F.count("*").alias(f"cnt{side}"))
-    )
-
-
-def spark_vector_edges(
-    spark: SparkSession, texts1: pd.DataFrame, texts2: pd.DataFrame, kind: str, n: int
-) -> DataFrame:
-    """Inverted-index join computing all four vector measures at once.
-
-    Returns a DataFrame(v1, v2, cosine_tf, cosine_tfidf, jaccard, arcs)
-    with one row per pair sharing at least one gram.
-    """
-    g1 = _spark_grams(spark, texts1, kind, n, "1").localCheckpoint()
-    g2 = _spark_grams(spark, texts2, kind, n, "2").localCheckpoint()
-
-    # per-entity statistics
-    def entity_stats(g: DataFrame, side: str) -> DataFrame:
-        return g.groupBy(f"id{side}").agg(
-            F.sum(f"cnt{side}").alias(f"total{side}"),
-            F.count("*").alias(f"distinct{side}"),
-        )
-
-    s1, s2 = entity_stats(g1, "1"), entity_stats(g2, "2")
-    # document frequencies per side and combined IDF
-    df1 = g1.groupBy("gram").agg(F.count("*").alias("df1"))
-    df2 = g2.groupBy("gram").agg(F.count("*").alias("df2"))
-    n_docs = texts1.shape[0] + texts2.shape[0]
-    dfs = (
-        df1.join(df2, on="gram", how="outer")
-        .fillna(0, subset=["df1", "df2"])
-        .withColumn("idf", F.log(F.lit(float(n_docs)) / (F.col("df1") + F.col("df2") + 1.0)))
-        .withColumn(
-            "arcs_w",
-            F.log(F.lit(2.0)) / F.log(F.greatest(F.col("df1") * F.col("df2"), F.lit(2.0))),
-        )
-    )
-
-    # attach tf / tfidf weights to every (entity, gram) posting
-    w1 = (
-        g1.join(s1, on="id1")
-        .join(dfs.select("gram", "idf", "arcs_w"), on="gram")
-        .select(
-            "id1",
-            "gram",
-            "arcs_w",
-            (F.col("cnt1") / F.col("total1")).alias("tf1"),
-            (F.col("cnt1") / F.col("total1") * F.col("idf")).alias("ti1"),
-        )
-    )
-    w2 = (
-        g2.join(s2, on="id2")
-        .join(dfs.select("gram", "idf"), on="gram")
-        .select(
-            "id2",
-            "gram",
-            (F.col("cnt2") / F.col("total2")).alias("tf2"),
-            (F.col("cnt2") / F.col("total2") * F.col("idf")).alias("ti2"),
-        )
-    )
-
-    # per-entity norms for cosine
-    n1 = w1.groupBy("id1").agg(
-        F.sqrt(F.sum(F.col("tf1") ** 2)).alias("ntf1"),
-        F.sqrt(F.sum(F.col("ti1") ** 2)).alias("nti1"),
-        F.count("*").alias("d1"),
-    )
-    n2 = w2.groupBy("id2").agg(
-        F.sqrt(F.sum(F.col("tf2") ** 2)).alias("ntf2"),
-        F.sqrt(F.sum(F.col("ti2") ** 2)).alias("nti2"),
-        F.count("*").alias("d2"),
-    )
-
-    joined = (
-        w1.join(w2, on="gram")
-        .groupBy("id1", "id2")
-        .agg(
-            F.sum(F.col("tf1") * F.col("tf2")).alias("dot_tf"),
-            F.sum(F.col("ti1") * F.col("ti2")).alias("dot_ti"),
-            F.count("*").alias("n_common"),
-            F.sum("arcs_w").alias("arcs"),
-        )
-    )
-    return (
-        joined.join(n1, on="id1")
-        .join(n2, on="id2")
-        .select(
-            F.col("id1").alias("v1"),
-            F.col("id2").alias("v2"),
-            (F.col("dot_tf") / (F.col("ntf1") * F.col("ntf2"))).alias("cosine_tf"),
-            (F.col("dot_ti") / (F.col("nti1") * F.col("nti2"))).alias("cosine_tfidf"),
-            (
-                F.col("n_common")
-                / (F.col("d1") + F.col("d2") - F.col("n_common"))
-            ).alias("jaccard"),
-            F.col("arcs"),
-        )
     )

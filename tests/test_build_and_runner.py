@@ -7,9 +7,10 @@ import pandas as pd
 import pytest
 
 from repro.core.matchers import ALGORITHM_ORDER
-from repro.datasets.generator import DatasetSpec
+from repro.datasets.generator import DatasetSpec, generate_pandas
 from repro.experiments.runner import run_sweep
-from repro.simgraph.build import FAMILIES, build_dataset_graphs, minmax
+from repro.simgraph.build import FAMILIES, _emit, build_dataset_graphs, minmax
+from repro.simgraph.strings import SCHEMA_BASED_MEASURES, schema_based_batch
 
 TINY = DatasetSpec(
     name="TT", label="tiny", domain="restaurant", n1=30, n2=60, n_dups=15,
@@ -77,6 +78,27 @@ class TestBuild:
         assert edges["v1"].between(0, TINY.n1 - 1).all()
         assert edges["v2"].between(0, TINY.n2 - 1).all()
 
+    def test_sb_syn_graphs_equal_kernel_on_all_pairs(self, built):
+        """Every sb_syn graph is the string kernel run once on every
+        (side-1, side-2) pair on the driver, then min-max normalised."""
+        _, manifest = built
+        df1, df2, _ = generate_pandas(TINY)
+        attr = TINY.primary_attribute
+        wide = schema_based_batch(
+            list(np.repeat(df1[attr].to_numpy(), len(df2))),
+            list(np.tile(df2[attr].to_numpy(), len(df1))),
+        )
+        wide.insert(0, "v2", np.tile(df2["id"].to_numpy(), len(df1)))
+        wide.insert(0, "v1", np.repeat(df1["id"].to_numpy(), len(df2)))
+        sb = manifest[manifest["family"] == "sb_syn"].set_index("measure")
+        for measure, expected in _emit(wide, SCHEMA_BASED_MEASURES):
+            got = pd.read_parquet(sb.loc[measure, "path"])
+            pd.testing.assert_frame_equal(
+                got.sort_values(["v1", "v2"]).reset_index(drop=True),
+                expected.sort_values(["v1", "v2"]).reset_index(drop=True),
+                check_dtype=False, check_exact=False, rtol=0, atol=1e-12,
+            )
+
     def test_semantic_graphs_are_dense(self, built):
         _, manifest = built
         sem = manifest[
@@ -84,6 +106,28 @@ class TestBuild:
         ]
         # the paper's Table 3: semantic inputs cover ~100% of all pairs
         assert (sem["n_edges"] == TINY.n1 * TINY.n2).all()
+
+
+def test_build_jobs_and_tasks_per_family(spark, tmp_path):
+    """sa_syn runs no Spark job; sb_syn, sb_sem and sa_sem run one job
+    each, with one task per slice of side 1."""
+    sc = spark.sparkContext
+    for family, n_jobs in (("sa_syn", 0), ("sb_syn", 1), ("sb_sem", 1), ("sa_sem", 1)):
+        group = f"build-{family}"
+        sc.setJobGroup(group, group)
+        try:
+            build_dataset_graphs(spark, TINY, str(tmp_path), [family])
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        tracker = sc.statusTracker()
+        jobs = tracker.getJobIdsForGroup(group)
+        assert len(jobs) == n_jobs, family
+        for job in jobs:
+            tasks = sum(
+                tracker.getStageInfo(sid).numTasks
+                for sid in tracker.getJobInfo(job).stageIds
+            )
+            assert tasks == min(sc.defaultParallelism, TINY.n1), family
 
 
 class TestRunSweep:

@@ -1,5 +1,6 @@
 """N-gram graph model: entity-graph construction, hand-computed
-similarities, python-reference vs Spark path, DuckDB-oracle check."""
+similarities, python reference vs the in-process join, DuckDB-oracle
+check of its ratio sums."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from repro.oracle import assert_equivalent
 from repro.simgraph.graph_model import (
     GRAPH_MEASURES,
+    _pair_sums,
+    graph_edges,
     graph_edges_of_text,
-    spark_graph_edges,
 )
 
 
@@ -64,19 +66,16 @@ T2 = pd.DataFrame(
 
 
 class TestSparkGraphSimilarities:
-    def test_identical_text_scores_one(self, spark):
-        e = (
-            spark_graph_edges(spark, T1, T2, "token", 1, max_df_frac=None)
-            .toPandas()
-            .set_index(["v1", "v2"])
-        )
+    """``graph_edges`` (named for the Spark join scorer it replaced)."""
+
+    def test_identical_text_scores_one(self):
+        e = graph_edges(T1, T2, "token", 1, max_df_frac=None).set_index(["v1", "v2"])
         for m in GRAPH_MEASURES:
             assert e.loc[(0, 0), m] == pytest.approx(1.0), m
 
-    def test_matches_python_reference(self, spark):
+    def test_matches_python_reference(self):
         got = (
-            spark_graph_edges(spark, T1, T2, "char", 3, max_df_frac=None)
-            .toPandas()
+            graph_edges(T1, T2, "char", 3, max_df_frac=None)
             .set_index(["v1", "v2"])
             .sort_index()
         )
@@ -93,46 +92,39 @@ class TestSparkGraphSimilarities:
                     assert got.loc[(i, j), m] == pytest.approx(ref[m]), (i, j, m)
         assert set(got.index) == expected_keys
 
-    def test_df_cap_drops_ubiquitous_keys(self, spark):
+    def test_df_cap_drops_ubiquitous_keys(self):
         # every entity shares 'x y'; with a tight cap that key vanishes
         t1 = pd.DataFrame({"id": range(6), "text": ["x y"] * 6})
         t2 = pd.DataFrame({"id": range(6), "text": ["x y"] * 6})
-        uncapped = spark_graph_edges(spark, t1, t2, "token", 1, max_df_frac=None)
-        capped = spark_graph_edges(spark, t1, t2, "token", 1, max_df_frac=0.5)
-        assert uncapped.count() == 36
-        assert capped.count() == 0
+        uncapped = graph_edges(t1, t2, "token", 1, max_df_frac=None)
+        capped = graph_edges(t1, t2, "token", 1, max_df_frac=0.5)
+        assert len(uncapped) == 36
+        assert len(capped) == 0
 
-    def test_join_aggregation_against_duckdb(self, spark):
-        """The ratio-sum aggregation validated by the DuckDB oracle."""
+    def test_graph_sizes_count_capped_keys(self):
+        # 'x y' is in every graph and capped away, but still counts in |G|
+        texts = pd.DataFrame({"id": range(6), "text": [f"x y {c}" for c in "abcdef"]})
+        e = graph_edges(texts, texts, "token", 1, max_df_frac=0.5)
+        assert sorted(zip(e["v1"], e["v2"])) == [(i, i) for i in range(6)]
+        assert (e["containment"] == 0.5).all()
+
+    def test_join_aggregation_against_duckdb(self):
+        """The join's ratio sums and common-key counts validated by the
+        DuckDB oracle over the same postings."""
         rows = []
         for side, texts in (("1", T1), ("2", T2)):
             for eid, text in zip(texts["id"], texts["text"]):
                 for k, w in graph_edges_of_text(text, "token", 1).items():
                     rows.append({"side": side, "id": eid, "ekey": k, "w": w})
         posts = pd.DataFrame(rows)
-        p1 = posts[posts["side"] == "1"].rename(columns={"id": "v1", "w": "w1"})[
-            ["v1", "ekey", "w1"]
-        ]
-        p2 = posts[posts["side"] == "2"].rename(columns={"id": "v2", "w": "w2"})[
-            ["v2", "ekey", "w2"]
-        ]
-        from pyspark.sql import functions as F
-
-        s1, s2 = spark.createDataFrame(p1), spark.createDataFrame(p2)
-        joined = (
-            s1.join(s2, on="ekey")
-            .groupBy("v1", "v2")
-            .agg(
-                F.sum(
-                    F.least(F.col("w1"), F.col("w2"))
-                    / F.greatest(F.col("w1"), F.col("w2"))
-                ).alias("ratio_sum")
-            )
+        p1, p2 = (
+            posts[posts["side"] == side][["id", "ekey", "w"]] for side in ("1", "2")
         )
         assert_equivalent(
-            joined,
-            "SELECT v1, v2, sum(least(w1, w2) * 1.0 / greatest(w1, w2)) AS ratio_sum "
-            "FROM p1 JOIN p2 USING (ekey) GROUP BY v1, v2",
+            _pair_sums(p1, p2),
+            "SELECT p1.id AS v1, p2.id AS v2, count(*) AS n_common, "
+            "sum(least(p1.w, p2.w) * 1.0 / greatest(p1.w, p2.w)) AS ratio_sum "
+            "FROM p1 JOIN p2 USING (ekey) GROUP BY p1.id, p2.id",
             p1=p1,
             p2=p2,
         )

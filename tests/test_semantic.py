@@ -101,3 +101,44 @@ class TestSemanticEdges:
         dup = e[e.v1 == e.v2]["cosine"].mean()
         rest = e[e.v1 != e.v2]["cosine"].mean()
         assert dup > rest + 0.3
+
+
+class TestEuclidPrecision:
+    """``euclid_sim`` is the float64 norm of each difference, so it does
+    not depend on how side 1 is split and is exactly 1 on identical text."""
+
+    def _frames(self):
+        from repro.datasets.generator import generate_pandas
+        from repro.datasets.registry import SPECS
+        from repro.simgraph.build import _texts_attribute
+
+        df1, df2, _ = generate_pandas(SPECS["D1"])
+        t1 = _texts_attribute(df1.head(30), "name")
+        t2 = _texts_attribute(df2.head(40), "name")
+        # the first 10 side-1 names also appear verbatim on side 2
+        t2 = pd.concat(
+            [t2, t1.head(10).assign(id=t1["id"].head(10) + 1000)], ignore_index=True
+        )
+        return t1, t2
+
+    @pytest.mark.parametrize("model", SEMANTIC_MODELS)
+    def test_identical_texts_score_exactly_one(self, model):
+        t1, t2 = self._frames()
+        e = semantic_edges(t1, t2, model).set_index(["v1", "v2"])
+        for i in t1["id"].head(10):
+            assert e.loc[(i, i + 1000), "euclid_sim"] == 1.0, i
+
+    @pytest.mark.parametrize("model", SEMANTIC_MODELS)
+    def test_row_blocks_equal_one_call(self, model):
+        t1, t2 = self._frames()
+        whole = semantic_edges(t1, t2, model)
+        blocks = pd.concat(
+            [
+                semantic_edges(t1.iloc[lo : lo + 7], t2, model)
+                for lo in range(0, len(t1), 7)
+            ],
+            ignore_index=True,
+        )
+        pd.testing.assert_frame_equal(
+            whole, blocks, check_exact=False, rtol=0, atol=1e-12
+        )

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS
+from repro.core.matchers.base import UnionFind
 from repro.core.spark_match import cnc_native, exc_native, match_edges, umc_native
 from repro.core.sweep import THRESHOLDS
 from repro.datasets.generator import generate_pandas
 from repro.datasets.registry import SPECS
 from repro.simgraph.build import _texts_schema_agnostic, minmax
-from repro.simgraph.vectors import spark_vector_edges
+from repro.simgraph.vectors import dense_vector_edges
 
 
 def random_graph(seed: int, n_left=25, n_right=20, m=120):
@@ -49,15 +50,15 @@ TWO_COMPONENTS = (
 
 
 @pytest.fixture(scope="module")
-def d1_cosine_tf(spark):
+def d1_cosine_tf():
     """D1's schema-agnostic token-2-gram graph under cosine TF, min-max
     normalised, scored as ``build_dataset_graphs`` scores it: 21
     components, on which RCA run per component differs from RCA on the
-    whole graph by one pair."""
+    whole graph by one pair at t = 0.1, 0.3 and 0.5."""
     df1, df2, _ = generate_pandas(SPECS["D1"])
-    wide = spark_vector_edges(
-        spark, _texts_schema_agnostic(df1), _texts_schema_agnostic(df2), "token", 2
-    ).toPandas()
+    wide = dense_vector_edges(
+        _texts_schema_agnostic(df1), _texts_schema_agnostic(df2), "token", 2
+    )
     g = minmax(wide[["v1", "v2", "cosine_tf"]].rename(columns={"cosine_tf": "w"}))
     return g["v1"].to_numpy(), g["v2"].to_numpy(), g["w"].to_numpy()
 
@@ -85,6 +86,25 @@ def test_distributed_equals_reference(spark, d1_cosine_tf, algo):
         }
         got = collect_pairs(match_edges(to_df(spark, v1, v2, w), algo, t, **kw))
         assert got == expected, f"{name}, t={t}"
+
+
+def test_d1_fixture_separates_per_component_rca(d1_cosine_tf):
+    """The D1 graph is in the cases above because RCA run on each of its
+    components alone differs from RCA on the whole graph."""
+    v1, v2, w = d1_cosine_tf
+    right = int(v1.max()) + 1  # right node b is union-find slot right + b
+    uf = UnionFind(right + int(v2.max()) + 1)
+    for a, b in zip(v1, v2):
+        uf.union(int(a), right + int(b))
+    labels = np.array([uf.find(int(a)) for a in v1])
+
+    def rca(on, t):
+        pairs = ALGORITHMS["RCA"](v1[on], v2[on], w[on], t)
+        return {(int(a), int(b)) for a, b in pairs}
+
+    for t in (0.1, 0.3, 0.5):
+        per_component = set().union(*(rca(labels == c, t) for c in np.unique(labels)))
+        assert per_component != rca(labels >= 0, t), t
 
 
 def test_match_edges_jobs_independent_of_graph_shape(spark):
