@@ -6,13 +6,18 @@
 
 Execution strategy
 ------------------
-``match_edges`` puts every edge in one group and runs the exact
-reference matcher on it via ``applyInPandas``, for all 8 algorithms.
-Splitting by connected component would be wrong for two of them: RCA
-chooses its row scan or its column scan once for the whole graph (Alg. 3
-lines 29-36), and BAH searches the whole graph at random (Alg. 4). One
-group is also faster: it costs a fixed number of Spark jobs, whereas
-label propagation needs one round per step of the graph's diameter.
+``match_edges`` coalesces the edges into one partition, with no shuffle,
+and runs the exact reference matcher on all of them in one
+``mapInPandas`` task, for all 8 algorithms: one stage of one task per
+request. Splitting by connected component would be wrong for two of
+them: RCA chooses its row scan or its column scan once for the whole
+graph (Alg. 3 lines 29-36), and BAH searches the whole graph at random
+(Alg. 4). One task is also faster: it costs a fixed number of Spark jobs,
+whereas label propagation needs one round per step of the graph's
+diameter. The single task also runs whatever produces the edges, such
+as a parquet scan and a threshold filter, on one core. On a full-size
+graph (1,008,000 edges, D9 ``sa_sem``) that was as fast as or faster than
+scanning in parallel and shuffling into one group (DESIGN.md 1.1).
 
 ``cnc_native``, ``exc_native`` and ``umc_native`` are plain calls to
 ``match_edges``. The names exist only because the ``perfbench`` ``serve``
@@ -20,9 +25,10 @@ workload sends them as request variants; they go when those variants do.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 # unused here: perfbench's traced serve wraps ``spark_match.connected_components``
 # by name, so the name must resolve until the benchmark stops doing so
@@ -47,14 +53,18 @@ def match_edges(edges: DataFrame, algorithm: str, t: float, **params) -> DataFra
         raise ValueError(f"unknown algorithm {algorithm!r}")
     matcher = ALGORITHMS[algorithm]
 
-    def run(pdf: pd.DataFrame) -> pd.DataFrame:
+    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        frames = list(batches)
+        if not frames:  # an empty partition sends no batch
+            return
+        pdf = pd.concat(frames, ignore_index=True)
         pairs = matcher(
             pdf["v1"].to_numpy(), pdf["v2"].to_numpy(), pdf["w"].to_numpy(), t, **params
         )
-        return pd.DataFrame({"v1": pairs[:, 0], "v2": pairs[:, 1]})
+        yield pd.DataFrame({"v1": pairs[:, 0], "v2": pairs[:, 1]})
 
-    one_group = edges.select("v1", "v2", "w", F.lit(0).alias("group"))
-    return one_group.groupBy("group").applyInPandas(run, schema=_PAIR_SCHEMA)
+    one_task = edges.select("v1", "v2", "w").coalesce(1)
+    return one_task.mapInPandas(run, schema=_PAIR_SCHEMA)
 
 
 def cnc_native(edges: DataFrame, t: float) -> DataFrame:

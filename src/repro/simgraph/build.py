@@ -144,7 +144,10 @@ def build_dataset_graphs(
     os.makedirs(out_dir, exist_ok=True)
     df1, df2, gt = generate_pandas(spec)
     gt.to_parquet(os.path.join(out_dir, f"{spec.name}__gt.parquet"))
-    gt_pairs = set(zip(gt["v1"], gt["v2"]))
+    span = int(df2["id"].max()) + 1  # pair key v1 * span + v2 is unique
+    gt_keys = np.unique(
+        gt["v1"].to_numpy(np.int64) * span + gt["v2"].to_numpy(np.int64)
+    )
     sa1, sa2 = _texts_schema_agnostic(df1), _texts_schema_agnostic(df2)
     attr = spec.primary_attribute
     sb1, sb2 = _texts_attribute(df1, attr), _texts_attribute(df2, attr)
@@ -182,9 +185,8 @@ def build_dataset_graphs(
         graph_id = f"{spec.name}__{family}__{model}__{measure}"
         path = os.path.join(out_dir, f"{graph_id}.parquet")
         edges.to_parquet(path)
-        covered = sum(
-            1 for p in zip(edges["v1"], edges["v2"]) if p in gt_pairs
-        )
+        keys = edges["v1"].to_numpy(np.int64) * span + edges["v2"].to_numpy(np.int64)
+        covered = np.isin(keys, gt_keys).sum()
         rows.append(
             {
                 "graph_id": graph_id,
@@ -195,7 +197,7 @@ def build_dataset_graphs(
                 "measure": measure,
                 "n_edges": int(len(edges)),
                 "gt_covered": int(covered),
-                "n_gt": int(len(gt_pairs)),
+                "n_gt": int(len(gt_keys)),
                 "path": path,
             }
         )

@@ -1,8 +1,7 @@
-"""SparkSession builder for the spark-submit job entrypoints.
+"""The one SparkSession definition: jobs, tests and the benchmark use it.
 
-Tests use the ``spark`` fixture from conftest.py; jobs run standalone
-and build an equivalent session here (same master/memory/Arrow/
-broadcast settings, console progress off for clean table output).
+Python workers are forked by ``repro.sparkdaemon``, which keeps Spark's
+own archives off their ``sys.path`` (see that module).
 """
 from __future__ import annotations
 
@@ -10,7 +9,7 @@ import os
 
 
 def get_spark(app_name: str = "repro"):
-    """Create (or reuse) the local SparkSession used by jobs."""
+    """Create (or reuse) the local SparkSession."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -30,6 +29,7 @@ def get_spark(app_name: str = "repro"):
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.python.daemon.module", "repro.sparkdaemon")
         .getOrCreate()
     )
 
