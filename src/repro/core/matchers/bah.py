@@ -14,18 +14,22 @@ and 0 elsewhere, so the final pairs with zero contribution (below the
 threshold or absent) are dropped from the output.
 
 The 10,000-step move loop runs over Python ints and floats: partners are
-a list and weights are read through a ``memoryview`` of one flat float64
-buffer. Each step does the same float arithmetic in the same order as
-the textbook loop over a numpy matrix, so the output is bit-identical to
-it at a fraction of its per-step cost. A step whose two nodes share a
-partner value (the same node, or two nodes without partners) is skipped:
-its swap would change nothing.
+a list, each node's current contribution d(i, partner) is a list kept in
+step with it, the two candidate weights of a swap are read through a
+``memoryview`` of one flat float64 buffer (turning the whole buffer into
+a list would cost O(|V1| |V2|) per call), and each step's two row
+offsets are computed before the loop. Each step does the same float
+arithmetic in the same order as the textbook loop over a numpy matrix,
+so the output is bit-identical to it at a fraction of its per-step
+cost. A step whose two nodes share a partner value (the same node,
+dropped before the loop, or two nodes without partners) is skipped: its
+swap would change nothing.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, compact_ids, pairs_array
+from .base import EMPTY_PAIRS, PreparedGraph, compact_ids, edges_above, pairs_array
 
 
 def bah(
@@ -36,13 +40,13 @@ def bah(
     *,
     max_moves: int = 10_000,
     seed: int = 42,
+    graph: PreparedGraph | None = None,
 ) -> np.ndarray:
     """Random-search assignment over edges > t, seeded and bounded."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # contributions exist only for edges above threshold
-    if not keep.any():
+    # contributions exist only for edges above threshold
+    a, b, s = edges_above(v1, v2, w, t, graph)
+    if not len(a):
         return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
 
     la, ua = compact_ids(a)
     lb, ub = compact_ids(b)
@@ -63,22 +67,27 @@ def bah(
 
     # Initial assignment: big node i is paired with small node i.
     partner = list(range(n_small)) + [n_small] * (n_big - n_small)
+    held = [d[i * stride + p] for i, p in enumerate(partner)]  # d(i, partner[i])
 
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, n_big, size=(max_moves, 2))
-    for i, j in zip(idx[:, 0].tolist(), idx[:, 1].tolist()):
+    idx = idx[idx[:, 0] != idx[:, 1]]  # i == j: a swap changes nothing
+    ii, jj = idx[:, 0].tolist(), idx[:, 1].tolist()
+    rows_i, rows_j = (idx[:, 0] * stride).tolist(), (idx[:, 1] * stride).tolist()
+    for i, j, ri, rj in zip(ii, jj, rows_i, rows_j):
         pi, pj = partner[i], partner[j]
-        if pi == pj:  # i == j, or neither has a partner: a swap changes nothing
+        if pi == pj:  # neither has a partner: a swap changes nothing
             continue
-        ri, rj = i * stride, j * stride
-        old = d[ri + pi] + d[rj + pj]
-        new = d[ri + pj] + d[rj + pi]
-        if new - old >= 0:  # Alg. 4 line 19 accepts neutral swaps
+        dij, dji = d[ri + pj], d[rj + pi]
+        # new - old, with old = d(i, pi) + d(j, pj); Alg. 4 line 19
+        # accepts neutral swaps
+        if dij + dji - (held[i] + held[j]) >= 0:
             partner[i], partner[j] = pj, pi
+            held[i], held[j] = dij, dji
 
     out = []
     for i, p in enumerate(partner):
-        if d[i * stride + p] > 0:
+        if held[i] > 0:
             if swap_sides:
                 out.append((int(ua[p]), int(ub[i])))
             else:

@@ -3,42 +3,25 @@
 For each entity of the basis collection (a configuration parameter:
 ``basis='left'`` or ``'right'``), in ascending node-id order, create a
 partition with the most similar not-yet-clustered entity of the other
-collection whose edge weight exceeds t. O(m) after grouping. The
-experiment harness tries both bases and keeps the best (paper, Sec. 3).
+collection whose edge weight exceeds t. The scan walks the basis side's
+``PreparedGraph`` rows and stops each row at its first free neighbour
+or its first edge <= t: O(n + m) after the sort. The experiment harness
+tries both bases and keeps the best (paper, Sec. 3).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_of
 
 
-def bmc(v1, v2, w, t: float, *, basis: str = "left") -> np.ndarray:
+def bmc(
+    v1, v2, w, t: float, *, basis: str = "left", graph: PreparedGraph | None = None
+) -> np.ndarray:
     """Greedy best-available match per basis-collection node."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 5 line 5: edges in desc sim > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    if basis == "right":
-        a, b, s = v2[keep], v1[keep], w[keep]
-    elif basis == "left":
-        a, b, s = v1[keep], v2[keep], w[keep]
-    else:
+    if basis not in ("left", "right"):
         raise ValueError(f"basis must be 'left' or 'right', got {basis!r}")
-    # Edges grouped by basis node (asc), best-first within each group.
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
-    matched_other: set[int] = set()
-    out = []
-    current = None
-    done = False
-    for i in order:
-        x, y = int(a[i]), int(b[i])
-        if x != current:
-            current, done = x, False
-        if done or y in matched_other:
-            continue
-        out.append((x, y) if basis == "left" else (y, x))
-        matched_other.add(y)
-        done = True
-    return pairs_array(out)
+    g = PreparedGraph.above(v1, v2, w, t, graph)
+    rows = g.left if basis == "left" else g.right
+    ids, others = rows.ends(rows.first_free(t))  # Alg. 5 line 5: sim > t
+    return pairs_of(ids, others) if basis == "left" else pairs_of(others, ids)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, pairs_array
+from .base import EMPTY_PAIRS, PreparedGraph, edges_above, pairs_array
 
 
 def _components(ia: np.ndarray, ib: np.ndarray, n: int) -> np.ndarray:
@@ -28,13 +28,12 @@ def _components(ia: np.ndarray, ib: np.ndarray, n: int) -> np.ndarray:
         labels = new
 
 
-def cnc(v1, v2, w, t: float) -> np.ndarray:
+def cnc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Match left/right nodes whose pruned component is a single edge."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w >= t  # Alg. 2 discards edges *lower* than t
-    if not keep.any():
+    # Alg. 2 discards edges *lower* than t
+    a, b, _ = edges_above(v1, v2, w, t, graph, closed=True)
+    if not len(a):
         return EMPTY_PAIRS
-    a, b = v1[keep], v2[keep]
     # Disjoint global node space: left ids stay even, right ids odd.
     nodes, inv = np.unique(np.concatenate([a * 2, b * 2 + 1]), return_inverse=True)
     m = len(a)

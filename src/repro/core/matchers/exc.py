@@ -4,38 +4,25 @@ Two entities are matched only if they are *mutually* best: the
 top-weighted adjacent edge of the left node is also the top-weighted
 adjacent edge of the right node (edges <= t are pruned first). A
 stricter, symmetric version of BMC; equivalent to the MutualFirstChoice
-algorithm of Gemmell et al. The paper quotes O(n m); with grouped
-argmax this implementation is O(m log m).
+algorithm of Gemmell et al. The paper quotes O(n m); here a node's best
+edge is the first entry of its ``PreparedGraph`` row, so after the
+O(m log m) sort the test is O(n) array work. A mutual-best pair whose
+edge weighs > t is mutual-best among the edges > t as well, so the
+rows need no pruning.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_of
 
 
-def _best_edge_per_group(keys: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Edge index of the first (= best, in ``order``) edge per key."""
-    sorted_keys = keys[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return order[first]
-
-
-def exc(v1, v2, w, t: float) -> np.ndarray:
+def exc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Match pairs that are each other's single best candidate."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 6 line 6: strictly greater
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    # Stable desc-weight order with the canonical tie-break, then a
-    # stable sort by group key keeps the best edge first in each group.
-    base = desc_order(a, b, s)
-    by_left = base[np.argsort(a[base], kind="stable")]
-    by_right = base[np.argsort(b[base], kind="stable")]
-    best_l = _best_edge_per_group(a, by_left)
-    best_r = _best_edge_per_group(b, by_right)
-    mutual = np.intersect1d(best_l, best_r)
-    out = [(int(a[i]), int(b[i])) for i in mutual]
-    return pairs_array(out)
+    g = PreparedGraph.above(v1, v2, w, t, graph)
+    left, right = g.left, g.right
+    first = left.indptr[:-1]
+    best = left.nbr[first]  # each left row's best right row
+    back = right.nbr[right.indptr[:-1]]  # each right row's best left row
+    mutual = (back[best] == np.arange(len(best))) & (left.w[first] > t)  # Alg. 6 line 6
+    return pairs_of(left.ids[mutual], right.ids[best[mutual]])

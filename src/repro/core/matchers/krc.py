@@ -8,7 +8,9 @@ or when the proposer's edge weight is strictly higher than their
 current fiance's. A rejected or deposed man returns to the free list;
 when his list is exhausted he gets exactly one second chance with a
 restored list (Alg. 7 lines 27-30). The paper itself omits Kiraly's
-"uncertain man" refinement, and so do we. O(n + m log m).
+"uncertain man" refinement, and so do we. A man's preference list is
+his ``PreparedGraph`` row up to its first edge <= t, so proposals cost
+O(n + m) after the O(m log m) sort.
 """
 from __future__ import annotations
 
@@ -16,37 +18,29 @@ from collections import deque
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_of
 
 
-def krc(v1, v2, w, t: float) -> np.ndarray:
+def krc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Proposal-based stable-marriage approximation over edges > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    # Preference lists: per man, (woman, weight) in decreasing weight.
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
-    prefs: dict[int, list[tuple[int, float]]] = {}
-    for i in order:
-        prefs.setdefault(int(a[i]), []).append((int(b[i]), float(s[i])))
-
-    free = deque(sorted(prefs))  # insertion order = ascending man id
-    cursor = {m: 0 for m in prefs}  # next preference to propose to
-    last_chance = {m: False for m in prefs}
-    fiance: dict[int, int] = {}  # woman -> man
-    weight_of: dict[int, float] = {}  # woman -> current engagement weight
+    g = PreparedGraph.above(v1, v2, w, t, graph)
+    men = g.left
+    start, nbr, ws = men.lists
+    # men with a preference above t, in ascending id (rows are never empty)
+    free = deque(m for m, lo in enumerate(start[:-1]) if ws[lo] > t)
+    cursor = start[:-1]  # next preference to propose to
+    last_chance = bytearray(len(cursor))
+    fiance = [-1] * len(men.other_ids)  # woman -> man
+    weight_of = [0.0] * len(fiance)  # woman -> current engagement weight
 
     while free:
         m = free.popleft()
-        plist = prefs[m]
-        if cursor[m] < len(plist):
-            woman, sim = plist[cursor[m]]
-            cursor[m] += 1
-            current = fiance.get(woman)
-            if current is None:
+        k = cursor[m]
+        if k < start[m + 1] and ws[k] > t:
+            woman, sim = nbr[k], ws[k]
+            cursor[m] = k + 1
+            current = fiance[woman]
+            if current < 0:
                 fiance[woman] = m
                 weight_of[woman] = sim
             elif sim > weight_of[woman]:  # acceptsProposal
@@ -56,9 +50,10 @@ def krc(v1, v2, w, t: float) -> np.ndarray:
             else:
                 free.append(m)  # rejected: try next preference
         elif not last_chance[m]:
-            last_chance[m] = True
-            cursor[m] = 0  # recoverInitialQueue
+            last_chance[m] = 1
+            cursor[m] = start[m]  # recoverInitialQueue
             free.append(m)
 
-    out = [(m, woman) for woman, m in fiance.items()]
-    return pairs_array(out)
+    fiance = np.asarray(fiance, dtype=np.int64)
+    women = np.flatnonzero(fiance >= 0)
+    return pairs_of(men.ids[fiance[women]], men.other_ids[women])

@@ -9,53 +9,32 @@ threshold t are then discarded (Alg. 3 lines 29-36).
 
 Per JedAI practice the scans consider the edges present in the graph
 (weight > 0) rather than a conceptual complete bipartite graph; a node
-with no unassigned neighbour simply stays single. O(|V1| |V2|) worst
-case (here O(m log m) via grouped sorting).
+with no unassigned neighbour simply stays single. The paper quotes
+O(|V1| |V2|); each scan here walks one side's ``PreparedGraph`` rows
+and stops a row at its first free neighbour, O(n + m) after the
+O(m log m) sort.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_of
 
 
-def _greedy_pass(a: np.ndarray, b: np.ndarray, s: np.ndarray):
-    """One row scan: per ``a`` node (asc id), best unassigned ``b`` node.
-
-    Returns (pairs list of (a, b, sim), total weight).
-    """
-    base = desc_order(a, b, s)
-    order = base[np.argsort(a[base], kind="stable")]
-    assigned_b: set[int] = set()
-    pairs: list[tuple[int, int, float]] = []
-    total = 0.0
-    current = None
-    done = False
-    for i in order:
-        x, y = int(a[i]), int(b[i])
-        if x != current:
-            current, done = x, False
-        if done or y in assigned_b:
-            continue
-        pairs.append((x, y, float(s[i])))
-        assigned_b.add(y)
-        total += float(s[i])
-        done = True
-    return pairs, total
-
-
-def rca(v1, v2, w, t: float) -> np.ndarray:
+def rca(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Best of the row scan and the column scan, thresholded at t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > 0  # assignment passes see all positive-weight edges
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    pairs1, d1 = _greedy_pass(a, b, s)
-    pairs2, d2 = _greedy_pass(b, a, s)
-    if d1 >= d2:
-        chosen = pairs1
-    else:
-        chosen = [(y, x, sim) for (x, y, sim) in pairs2]
-    out = [(x, y) for (x, y, sim) in chosen if sim >= t]
-    return pairs_array(out)
+    g = PreparedGraph.above(v1, v2, w, 0.0, graph)  # the scans see all edges > 0
+    scans = []
+    for rows in (g.left, g.right):
+        chosen = rows.first_free(0.0)
+        ws = rows.lists[2]
+        total = 0.0  # summed in scan order
+        for k in chosen:
+            total += ws[k]
+        scans.append((total, rows, chosen))
+    (d1, rows1, chosen1), (d2, rows2, chosen2) = scans
+    rows, chosen = (rows1, chosen1) if d1 >= d2 else (rows2, chosen2)
+    chosen = np.asarray(chosen, dtype=np.int64)
+    chosen = chosen[rows.w[chosen] >= t]
+    ids, others = rows.ends(chosen)
+    return pairs_of(ids, others) if rows is rows1 else pairs_of(others, ids)

@@ -5,7 +5,10 @@ both collections are visited in descending average adjacent-edge
 weight; each visited seed captures its best adjacent vertex (in
 decreasing similarity) that is unassigned or closer to the seed than
 to its current centre. Partitions reduced to singletons by a capture
-are re-assigned to their nearest single-node partition. O(n m).
+are re-assigned to their nearest single-node partition. The paper
+quotes O(n m); here every node's adjacency is its ``PreparedGraph`` row
+up to its first edge <= t, and both scans stop at their first hit, so
+a call costs O(n log n + m) after the O(m log m) sort.
 
 CCER validity: edges always cross sides, so a centre and its captured
 vertex come from different collections; the final output keeps only
@@ -16,78 +19,80 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_of
 
 
-def rsr(v1, v2, w, t: float) -> np.ndarray:
+def rsr(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Sequential rippling over edges with weight > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 1 line 11: sim > t
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    # Disjoint global node space (left even, right odd) so both sides
-    # share the data structures below.
-    ga, gb = a * 2, b * 2 + 1
+    g = PreparedGraph.above(v1, v2, w, t, graph)
+    nodes = g.nodes  # left rows, then right rows
+    n_left, n = len(g.left.ids), len(nodes.ids)
+    start, nbr, ws = nodes.lists
+    gid = nodes.ids.tolist()  # disjoint ids: left 2 * v1, right 2 * v2 + 1
+    # each row's edges > t (Alg. 1 line 11) are a prefix: count them
+    above = np.concatenate(([0], np.cumsum(nodes.w > t)))
+    end = (nodes.indptr[:-1] + np.diff(above[nodes.indptr])).tolist()
 
-    adj: dict[int, list[tuple[float, int]]] = {}
-    for x, y, sim in zip(ga, gb, s):
-        adj.setdefault(int(x), []).append((float(sim), int(y)))
-        adj.setdefault(int(y), []).append((float(sim), int(x)))
-    for lst in adj.values():
-        # decreasing similarity; ties by lower neighbour id
-        lst.sort(key=lambda e: (-e[0], e[1]))
+    # Per-node mean weight, summed in row order (weight desc, then
+    # neighbour id asc), and Q: nodes in decreasing mean (ties: lower id).
+    active = [v for v in range(n) if end[v] > start[v]]
+    avg_w = [0.0] * n
+    for v in active:
+        avg_w[v] = sum(ws[start[v] : end[v]]) / (end[v] - start[v])
+    queue = sorted(active, key=lambda v: (-avg_w[v], gid[v]))
 
-    avg_w = {v: sum(sim for sim, _ in lst) / len(lst) for v, lst in adj.items()}
-    # Q: nodes in decreasing average weight (ties: lower id first).
-    queue = sorted(adj, key=lambda v: (-avg_w[v], v))
-
-    sim_with_center = {v: 0.0 for v in adj}
-    center_of = {v: v for v in adj}
-    partition: dict[int, set[int]] = {v: set() for v in adj}
-    centers: set[int] = set()
+    slot_of = dict(zip(gid, range(n)))
+    sim_with_center = [0.0] * n
+    center_of = list(range(n))
+    partition = [set() for _ in range(n)]
+    is_center = bytearray(n)
 
     for vi in queue:
+        # A set of global ids: its iteration order decides which of two
+        # singletons competing for one partner is moved first.
         to_reassign: set[int] = set()
-        for sim, vj in adj[vi]:
-            if vj in centers:
+        for k in range(start[vi], end[vi]):
+            vj = nbr[k]
+            if is_center[vj]:
                 continue
+            sim = ws[k]
             if sim > sim_with_center[vj]:
                 prev = center_of[vj]
                 partition[prev].discard(vj)
                 partition[vi].add(vj)
                 if prev != vj:
-                    to_reassign.add(prev)  # prev may now be a singleton
+                    to_reassign.add(gid[prev])  # prev may now be a singleton
                 sim_with_center[vj] = sim
                 center_of[vj] = vi
                 break  # first qualifying adjacent vertex only
         if partition[vi]:
-            if center_of[vi] != vi:  # vi was a member of another partition
-                partition[center_of[vi]].discard(vi)
-                to_reassign.add(center_of[vi])
-            centers.add(vi)
+            c = center_of[vi]
+            if c != vi:  # vi was a member of another partition
+                partition[c].discard(vi)
+                to_reassign.add(gid[c])
+            is_center[vi] = 1
             partition[vi].add(vi)
             center_of[vi] = vi
             sim_with_center[vi] = 1.0
-        for vk in to_reassign:
-            if partition[vk] != {vk}:
+        for vk in map(slot_of.__getitem__, to_reassign):
+            members = partition[vk]
+            if len(members) != 1 or vk not in members:
                 continue  # only centers reduced to a singleton move
-            best_sim, best = 0.0, None
-            for sim, vl in adj[vk]:
-                if sim > best_sim and len(partition[vl]) < 2:
-                    best_sim, best = sim, vl
-                    break  # adjacency is sorted desc: first hit is best
-            if best is not None:
-                centers.discard(vk)
-                partition[vk] = set()  # Alg. 1 line 38
-                partition[best].add(vk)
-                center_of[vk] = best
+            for k in range(start[vk], end[vk]):
+                vl = nbr[k]
+                # the row is sorted desc: the first hit is the best
+                if ws[k] > 0.0 and len(partition[vl]) < 2:
+                    is_center[vk] = 0
+                    partition[vk] = set()  # Alg. 1 line 38
+                    partition[vl].add(vk)
+                    center_of[vk] = vl
+                    break
 
-    out = []
-    for c, members in partition.items():
+    left, right = [], []
+    for members in partition:
         if len(members) == 2:
-            left = [v for v in members if v % 2 == 0]
-            right = [v for v in members if v % 2 == 1]
-            if len(left) == 1 and len(right) == 1:
-                out.append((int(left[0] // 2), int(right[0] // 2)))
-    return pairs_array(out)
+            x, y = sorted(members)
+            if x < n_left <= y:  # one node per side
+                left.append(x)
+                right.append(y - n_left)
+    return pairs_of(g.left.ids[left], g.right.ids[right])

@@ -3,29 +3,25 @@
 Prunes edges with weight <= t, sorts the rest in decreasing weight and
 greedily forms a partition for the top-weighted pair whose endpoints
 are both still unmatched (the unique-mapping constraint of CCER).
-O(m log m) from the sort. Equivalent to FAMER's CLIP clustering in the
-two-source case.
+The edges above t are a prefix of the ``PreparedGraph`` order, so the
+loop is O(m) after the O(m log m) sort, which ``core.sweep`` pays once
+per graph. Equivalent to FAMER's CLIP clustering in the two-source case.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, as_edge_arrays, desc_order, pairs_array
+from .base import PreparedGraph, pairs_array
 
 
-def umc(v1, v2, w, t: float) -> np.ndarray:
+def umc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarray:
     """Greedy max-weight 1-1 matching over edges with weight > t."""
-    v1, v2, w = as_edge_arrays(v1, v2, w)
-    keep = w > t  # Alg. 8 line 6: strictly greater
-    if not keep.any():
-        return EMPTY_PAIRS
-    a, b, s = v1[keep], v2[keep], w[keep]
-    order = desc_order(a, b, s)
+    g = PreparedGraph.above(v1, v2, w, t, graph)
+    n = g.n_above(t)  # Alg. 8 line 6: strictly greater
     matched_l: set[int] = set()
     matched_r: set[int] = set()
     out = []
-    for i in order:
-        x, y = int(a[i]), int(b[i])
+    for x, y in zip(g.v1[:n].tolist(), g.v2[:n].tolist()):
         if x not in matched_l and y not in matched_r:
             out.append((x, y))
             matched_l.add(x)

@@ -7,10 +7,17 @@ the algorithm's reported performance on that input. BMC additionally
 tries both node collections as basis and retains the better one
 (paper, Sec. 3); BAH runs with the paper's 10,000 search steps, seeded.
 
-Every algorithm but RCA runs once per threshold. RCA's two scans
-(Alg. 3) ignore t, which only drops the chosen pairs whose weight is
-below it, so RCA runs once at the grid's smallest threshold and each
-threshold's pairs are that output filtered to weight >= t.
+Each graph is prepared once (``matchers.base.PreparedGraph``: its edges
+sorted by weight desc, and per-side adjacency rows), and every matcher
+call of the sweep reads that object through ``graph=``. UMC, EXC and
+RCA then run once per graph, at the grid's smallest threshold: their
+pairs at a larger t are those pairs whose edge weighs > t (UMC, EXC:
+their choices among the edges > t never look at a lighter edge) or
+>= t (RCA: Alg. 3's two scans ignore t, which only drops the chosen
+pairs below it). The others run at every threshold, except that a
+threshold reuses the previous one's P/R/F1 when no edge weight lies in
+[previous t, t]: every algorithm then sees the same edges at both,
+whether it keeps those > t or, like CNC, those >= t.
 
 Run-time is measured as the time between receiving the weighted graph
 and returning the partitions (paper, Sec. 5), averaged over
@@ -24,6 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .matchers import ALGORITHM_ORDER, ALGORITHMS
+from .matchers.base import PreparedGraph, as_edge_arrays
 from .metrics import prf_from_arrays
 
 #: The paper's threshold grid: 0.05 .. 1.00, step 0.05.
@@ -33,37 +41,48 @@ THRESHOLDS = tuple(np.round(np.arange(1, 21) * 0.05, 2))
 def _best_over_thresholds(
     run: Callable[[float], np.ndarray],
     truth: set[tuple[int, int]],
-    thresholds: Iterable[float],
+    thresholds: list[float],
+    w_sorted: np.ndarray,
 ) -> tuple[float, object]:
     """Largest threshold achieving the max F1 (paper's selection rule).
 
     ``thresholds`` must be ascending: ties are resolved toward larger t.
+    ``w_sorted`` holds the graph's weights, ascending: a threshold with
+    none of them in [previous t, t] keeps the previous one's edges, both
+    those > t and those >= t, and so its P/R/F1.
     """
-    best_t, best = None, None
-    for t in thresholds:
-        prf = prf_from_arrays(run(float(t)), truth)
+    grid = np.asarray(thresholds)
+    lo = np.searchsorted(w_sorted, grid[:-1], side="left")
+    hi = np.searchsorted(w_sorted, grid[1:], side="right")
+    fresh = [True] + (hi > lo).tolist()
+    best_t, best, prf = None, None, None
+    for t, changed in zip(thresholds, fresh):
+        if changed:
+            prf = prf_from_arrays(run(t), truth)
         if best is None or prf.f1 >= best.f1:
-            best_t, best = float(t), prf
+            best_t, best = t, prf
     return best_t, best
 
 
-def _rca_over_thresholds(
-    rca: Callable[..., np.ndarray],
-    v1: np.ndarray,
-    v2: np.ndarray,
-    w: np.ndarray,
-    t_min: float,
-) -> Callable[[float], np.ndarray]:
-    """RCA's pairs at any t >= ``t_min``, from one call at ``t_min``.
+#: Algorithms nested over thresholds -> whether their pairs at t are the
+#: pairs at a smaller t weighing >= t (True) or > t (False).
+_NESTED = {"RCA": True, "EXC": False, "UMC": False}
 
-    Alg. 3 lines 29-36 keep a chosen pair iff its weight is >= t, so the
-    pairs at t are the pairs at ``t_min`` whose edge weighs >= t.
+
+def _nested_over_thresholds(
+    pairs: np.ndarray, graph: PreparedGraph, closed: bool
+) -> Callable[[float], np.ndarray]:
+    """A nested algorithm's pairs at any t >= the t of ``pairs``.
+
+    The chosen edges keep ``graph``'s weight-desc order, so the pairs
+    at t are a prefix of them.
     """
-    pairs = rca(v1, v2, w, t_min)
-    span = int(v2.max(initial=0)) + 1  # (v1, v2) -> one int64 key
-    chosen = np.isin(v1 * span + v2, pairs[:, 0] * span + pairs[:, 1])
-    a, b, s = v1[chosen], v2[chosen], w[chosen]
-    return lambda t: np.column_stack((a[s >= t], b[s >= t]))
+    span = int(graph.v2.max(initial=0)) + 1  # (v1, v2) -> one int64 key
+    chosen = np.isin(graph.v1 * span + graph.v2, pairs[:, 0] * span + pairs[:, 1])
+    ab = np.column_stack((graph.v1[chosen], graph.v2[chosen]))
+    neg_w = -graph.w[chosen]  # ascending
+    side = "right" if closed else "left"
+    return lambda t: ab[: np.searchsorted(neg_w, -t, side=side)]
 
 
 def sweep_graph(
@@ -83,10 +102,16 @@ def sweep_graph(
     Each row carries the optimal threshold, P/R/F1 at that threshold,
     the algorithm parameters used, and the mean matcher run-time (ms).
     """
-    v1 = np.asarray(v1, dtype=np.int64)
-    v2 = np.asarray(v2, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
+    v1, v2, w = as_edge_arrays(v1, v2, w)
     thresholds = sorted(float(t) for t in thresholds)
+    if not thresholds:
+        raise ValueError("sweep_graph needs at least one threshold; the grid is empty")
+    graph = PreparedGraph(v1, v2, w)
+    w_sorted = graph.w[::-1].copy()  # ascending; contiguous, so searchsorted copies nothing
+
+    def best_of(run):
+        return _best_over_thresholds(run, truth, thresholds, w_sorted)
+
     rows = []
     for algo in algorithms:
         matcher = ALGORITHMS[algo]
@@ -94,29 +119,24 @@ def sweep_graph(
             # try both bases, retain the best (paper Sec. 3)
             candidates = []
             for basis in ("left", "right"):
-                t_star, prf = _best_over_thresholds(
-                    lambda t, _b=basis: matcher(v1, v2, w, t, basis=_b),
-                    truth,
-                    thresholds,
+                t_star, prf = best_of(
+                    lambda t, _b=basis: matcher(v1, v2, w, t, basis=_b, graph=graph)
                 )
                 candidates.append((prf.f1, basis, t_star, prf))
             _, basis, t_star, prf = max(candidates, key=lambda c: c[0])
             params = {"basis": basis}
-            timed = lambda: matcher(v1, v2, w, t_star, basis=basis)  # noqa: E731
-        elif algo == "BAH":
-            params = {"max_moves": bah_max_moves, "seed": seed}
-            t_star, prf = _best_over_thresholds(
-                lambda t: matcher(v1, v2, w, t, **params), truth, thresholds
-            )
-            timed = lambda: matcher(v1, v2, w, t_star, **params)  # noqa: E731
         else:
-            params = {}
-            if algo == "RCA":
-                run = _rca_over_thresholds(matcher, v1, v2, w, thresholds[0])
+            params = (
+                {"max_moves": bah_max_moves, "seed": seed} if algo == "BAH" else {}
+            )
+            if algo in _NESTED:
+                pairs = matcher(v1, v2, w, thresholds[0], graph=graph)
+                run = _nested_over_thresholds(pairs, graph, _NESTED[algo])
             else:
-                run = lambda t: matcher(v1, v2, w, t)  # noqa: E731
-            t_star, prf = _best_over_thresholds(run, truth, thresholds)
-            timed = lambda: matcher(v1, v2, w, t_star)  # noqa: E731
+                run = lambda t: matcher(v1, v2, w, t, graph=graph, **params)  # noqa: E731
+            t_star, prf = best_of(run)
+        # timed as a request: the public call prepares its own edges
+        timed = lambda: matcher(v1, v2, w, t_star, **params)  # noqa: E731
 
         elapsed = []
         for _ in range(max(1, timing_reps)):

@@ -36,12 +36,13 @@ _MAX_TOKENS = 10  # per-entity token cap for the rWMD alignment
 
 
 class _GramSpace:
-    """Deterministic gram -> unit vector map (cached)."""
+    """Deterministic gram -> unit vector map, and token -> vector (cached)."""
 
     def __init__(self, dim: int, salt: str):
         self.dim = dim
         self.salt = salt
         self._cache: dict[str, np.ndarray] = {}
+        self.tokens: dict[str, np.ndarray] = {}
 
     def vec(self, gram: str) -> np.ndarray:
         v = self._cache.get(gram)
@@ -63,8 +64,14 @@ def _space(model: str) -> _GramSpace:
 
 
 def token_vector(token: str, model: str) -> np.ndarray:
-    """Embedding of one token: sum of its char 3-5-gram vectors."""
+    """Embedding of one token: sum of its char 3-5-gram vectors.
+
+    Memoised per (model, token), so the array is read-only.
+    """
     space = _space(model)
+    v = space.tokens.get(token)
+    if v is not None:
+        return v
     grams: list[str] = [token]
     for n in (3, 4, 5):
         grams.extend(char_ngrams(token, n))
@@ -72,7 +79,11 @@ def token_vector(token: str, model: str) -> np.ndarray:
     for g in grams:
         v += space.vec(g)
     norm = np.linalg.norm(v)
-    return v / norm if norm > 0 else v
+    if norm > 0:
+        v = v / norm
+    v.flags.writeable = False
+    space.tokens[token] = v
+    return v
 
 
 def embed_text(text: str, model: str) -> np.ndarray:

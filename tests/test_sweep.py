@@ -1,11 +1,16 @@
 """Threshold-sweep protocol: optimality rule, BMC basis selection,
-BAH parameters, timing fields, RCA's one call per graph."""
+BAH parameters, timing fields, one UMC/EXC/RCA call per graph, the
+reuse of unchanged thresholds, and matcher calls through the registry."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.matchers import ALGORITHM_ORDER, rca
+from repro.core import sweep as sweep_mod
+from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS
+from repro.core.matchers.base import PreparedGraph
 from repro.core.metrics import prf_from_arrays
 from repro.core.sweep import THRESHOLDS, sweep_graph
 
@@ -102,10 +107,34 @@ class TestSweepGraph:
             assert row["best_t"] == 0.8, grid
 
 
+    def test_empty_grid_raises(self):
+        v1, v2, w, truth = simple_graph()
+        for algo in ALGORITHM_ORDER:
+            with pytest.raises(ValueError, match="grid is empty"):
+                sweep_graph(v1, v2, w, truth, algorithms=[algo], thresholds=[])
+
+
+def brute_force(algo, v1, v2, w, truth, grid, **params):
+    """(best t, P/R/F1) with the public matcher called afresh at every t."""
+    best_t, best = None, None
+    for t in sorted(grid):
+        prf = prf_from_arrays(ALGORITHMS[algo](v1, v2, w, t, **params), truth)
+        if best is None or prf.f1 >= best.f1:
+            best_t, best = t, prf
+    return best_t, best
+
+
+def assert_row_is(row, best_t, best):
+    assert row["best_t"] == best_t
+    assert (row["precision"], row["recall"], row["f1"]) == (best.precision, best.recall, best.f1)
+    assert (row["n_predicted"], row["n_correct"]) == (best.n_predicted, best.n_correct)
+
+
 @st.composite
-def multi_component_graphs(draw):
+def multi_component_graphs(draw, unique_grid=True):
     """Disjoint random blocks with weights drawn from the threshold grid,
-    so that RCA's ``>= t`` boundary is hit, and a random ground truth."""
+    so that the ``> t`` and ``>= t`` boundaries are hit, and a random
+    ground truth; with ``unique_grid=False`` the grid may repeat values."""
     v1, v2, w = [], [], []
     left = right = 0
     for _ in range(draw(st.integers(1, 5))):
@@ -120,7 +149,7 @@ def multi_component_graphs(draw):
         (a, b) for a, b in zip(v1, v2) if draw(st.booleans())
     } or {(v1[0], v2[0])}
     grid = draw(
-        st.lists(st.sampled_from(THRESHOLDS), min_size=1, max_size=20, unique=True)
+        st.lists(st.sampled_from(THRESHOLDS), min_size=1, max_size=20, unique=unique_grid)
     )
     return np.array(v1), np.array(v2), np.array(w, dtype=np.float64), truth, grid
 
@@ -128,14 +157,69 @@ def multi_component_graphs(draw):
 @given(g=multi_component_graphs())
 @settings(max_examples=80, deadline=None)
 def test_rca_sweep_equals_brute_force(g):
-    """One RCA call per graph gives the same row as calling RCA at every t."""
+    """One RCA, UMC or EXC call per graph gives the same row as calling the
+    algorithm at every t."""
     v1, v2, w, truth, grid = g
-    (row,) = sweep_graph(v1, v2, w, truth, algorithms=["RCA"], thresholds=grid, timing_reps=1)
-    best_t, best = None, None
-    for t in sorted(grid):
-        prf = prf_from_arrays(rca(v1, v2, w, t), truth)
-        if best is None or prf.f1 >= best.f1:
-            best_t, best = t, prf
-    assert row["best_t"] == best_t
-    assert (row["precision"], row["recall"], row["f1"]) == (best.precision, best.recall, best.f1)
-    assert (row["n_predicted"], row["n_correct"]) == (best.n_predicted, best.n_correct)
+    nested = ["RCA", "UMC", "EXC"]
+    rows = sweep_graph(v1, v2, w, truth, algorithms=nested, thresholds=grid, timing_reps=1)
+    for algo, row in zip(nested, rows):
+        assert_row_is(row, *brute_force(algo, v1, v2, w, truth, grid))
+
+
+@given(g=multi_component_graphs(unique_grid=False))
+@settings(max_examples=60, deadline=None)
+def test_reused_thresholds_equal_brute_force(g):
+    """Weights on grid values and repeated grid values: a threshold reuses
+    the previous result only when both keep the same edges, for the
+    algorithms keeping edges > t and for CNC, which keeps those >= t."""
+    v1, v2, w, truth, grid = g
+    rows = sweep_graph(v1, v2, w, truth, thresholds=grid, timing_reps=1, bah_max_moves=300)
+    for algo, row in zip(ALGORITHM_ORDER, rows):
+        if algo == "BMC":
+            candidates = [
+                (*brute_force(algo, v1, v2, w, truth, grid, basis=b), b)
+                for b in ("left", "right")
+            ]
+            best_t, best, basis = max(candidates, key=lambda c: c[1].f1)
+            assert row["params"] == {"basis": basis}
+        else:
+            params = {"max_moves": 300, "seed": 42} if algo == "BAH" else {}
+            best_t, best = brute_force(algo, v1, v2, w, truth, grid, **params)
+        assert_row_is(row, best_t, best)
+
+
+def test_every_matcher_call_goes_through_the_registry(monkeypatch):
+    """The sweep calls each matcher through ``core.sweep.ALGORITHMS``: with
+    the prepared graph once per changed threshold (once per graph for
+    UMC, EXC and RCA), and then ``timing_reps`` times without it."""
+    calls = {a: [] for a in ALGORITHM_ORDER}
+
+    def counted(name, fn):
+        def call(v1, v2, w, t, **params):
+            calls[name].append(params.get("graph"))
+            return fn(v1, v2, w, t, **params)
+
+        return call
+
+    monkeypatch.setattr(
+        sweep_mod, "ALGORITHMS", {a: counted(a, fn) for a, fn in ALGORITHMS.items()}
+    )
+    v1, v2, w, truth = simple_graph()
+    reps = 2
+    rows = sweep_graph(v1, v2, w, truth, timing_reps=reps)
+    grid = sorted(THRESHOLDS)
+    changed = sum(
+        1 for i, t in enumerate(grid) if i == 0 or any(grid[i - 1] <= x <= t for x in w)
+    )
+    assert changed == 8
+    for algo in ALGORITHM_ORDER:
+        per_t = 1 if algo in ("UMC", "EXC", "RCA") else changed * (2 if algo == "BMC" else 1)
+        got = calls[algo]
+        assert len(got) == per_t + reps, algo
+        assert all(isinstance(g, PreparedGraph) for g in got[:per_t]), algo
+        assert got[per_t:] == [None] * reps, algo
+    # one prepared graph for every algorithm
+    assert len({id(g) for got in calls.values() for g in got if g is not None}) == 1
+    for row in rows:
+        json.dumps(row["params"])  # run_sweep stores params as JSON
+        assert not any(isinstance(v, PreparedGraph) for v in row["params"].values())
