@@ -5,12 +5,17 @@ marriage ("New Algorithm", Kiraly 2013). Left nodes ("men") propose
 along their preference lists (adjacent edges with weight > t, in
 decreasing weight); right nodes ("women") accept a proposal when free
 or when the proposer's edge weight is strictly higher than their
-current fiance's. A rejected or deposed man returns to the free list;
-when his list is exhausted he gets exactly one second chance with a
-restored list (Alg. 7 lines 27-30). The paper itself omits Kiraly's
+current fiance's. A rejected or deposed man returns to the free list
+until his list is exhausted. The paper itself omits Kiraly's
 "uncertain man" refinement, and so do we. A man's preference list is
 his ``PreparedGraph`` row up to its first edge <= t, so proposals cost
 O(n + m) after the O(m log m) sort.
+
+Alg. 7 lines 27-30 give an exhausted man a second pass over his list.
+It is left out because it cannot change the output: a proposal wins
+only with a strictly higher weight than the woman holds, and that
+weight never falls, so every repeated proposal is rejected again.
+``krc_oracle`` in ``tests/matcher_oracles.py`` keeps the pass.
 """
 from __future__ import annotations
 
@@ -29,7 +34,6 @@ def krc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarra
     # men with a preference above t, in ascending id (rows are never empty)
     free = deque(m for m, lo in enumerate(start[:-1]) if ws[lo] > t)
     cursor = start[:-1]  # next preference to propose to
-    last_chance = bytearray(len(cursor))
     fiance = [-1] * len(men.other_ids)  # woman -> man
     weight_of = [0.0] * len(fiance)  # woman -> current engagement weight
 
@@ -49,10 +53,6 @@ def krc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarra
                 free.append(current)  # the deposed man is free again
             else:
                 free.append(m)  # rejected: try next preference
-        elif not last_chance[m]:
-            last_chance[m] = 1
-            cursor[m] = start[m]  # recoverInitialQueue
-            free.append(m)
 
     fiance = np.asarray(fiance, dtype=np.int64)
     women = np.flatnonzero(fiance >= 0)

@@ -1,5 +1,5 @@
 """Synthetic analogues of the paper's 10 real CCER datasets."""
-from .generator import DatasetSpec, generate, generate_pandas, profile_stats
+from .generator import DatasetSpec, generate_pandas, profile_stats
 from .registry import CATEGORY_OF, DATASET_ORDER, SPECS
 from .vocab import Vocab, vocab
 
@@ -9,7 +9,6 @@ __all__ = [
     "DatasetSpec",
     "SPECS",
     "Vocab",
-    "generate",
     "generate_pandas",
     "profile_stats",
     "vocab",

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from .vocab import vocab
 
@@ -201,18 +200,6 @@ def generate_pandas(spec: DatasetSpec) -> tuple[pd.DataFrame, pd.DataFrame, pd.D
         }
     ).astype(np.int64)
     return df1, df2, gt
-
-
-def generate(
-    spark: SparkSession, spec: DatasetSpec
-) -> tuple[DataFrame, DataFrame, DataFrame]:
-    """Spark variant of :func:`generate_pandas`."""
-    df1, df2, gt = generate_pandas(spec)
-    return (
-        spark.createDataFrame(df1),
-        spark.createDataFrame(df2),
-        spark.createDataFrame(gt),
-    )
 
 
 def profile_stats(df: pd.DataFrame) -> dict:

@@ -147,17 +147,23 @@ def table5(results: pd.DataFrame) -> pd.DataFrame:
 
 
 # ------------------------------------------------------------------- Table 6
-def table6(results: pd.DataFrame) -> pd.DataFrame:
-    """Mean +- std run-time (ms) per algorithm x dataset x family."""
+def _mean_std_per_cell(results: pd.DataFrame, column: str, name: str) -> pd.DataFrame:
+    """Mean and std of ``column`` per family x dataset x algorithm, as
+    ``{name}_mu`` / ``{name}_sigma``, in the paper's row order."""
     agg = (
-        results.groupby(["family", "dataset", "algorithm"])["runtime_ms"]
+        results.groupby(["family", "dataset", "algorithm"])[column]
         .agg(["mean", "std"])
         .reset_index()
-        .rename(columns={"mean": "runtime_ms_mu", "std": "runtime_ms_sigma"})
+        .rename(columns={"mean": f"{name}_mu", "std": f"{name}_sigma"})
     )
     agg["dataset"] = pd.Categorical(agg["dataset"], DATASET_ORDER, ordered=True)
     agg["family"] = pd.Categorical(agg["family"], _FAMILY_ORDER, ordered=True)
     return agg.sort_values(["family", "dataset", "algorithm"]).reset_index(drop=True)
+
+
+def table6(results: pd.DataFrame) -> pd.DataFrame:
+    """Mean +- std run-time (ms) per algorithm x dataset x family."""
+    return _mean_std_per_cell(results, "runtime_ms", "runtime_ms")
 
 
 # ------------------------------------------------------------------- Table 7
@@ -271,12 +277,4 @@ def table8(results: pd.DataFrame) -> pd.DataFrame:
 # ------------------------------------------------------------------- Table 9
 def table9(results: pd.DataFrame) -> pd.DataFrame:
     """Mean +- std optimal threshold per algorithm x dataset x family."""
-    agg = (
-        results.groupby(["family", "dataset", "algorithm"])["best_t"]
-        .agg(["mean", "std"])
-        .reset_index()
-        .rename(columns={"mean": "t_mu", "std": "t_sigma"})
-    )
-    agg["dataset"] = pd.Categorical(agg["dataset"], DATASET_ORDER, ordered=True)
-    agg["family"] = pd.Categorical(agg["family"], _FAMILY_ORDER, ordered=True)
-    return agg.sort_values(["family", "dataset", "algorithm"]).reset_index(drop=True)
+    return _mean_std_per_cell(results, "best_t", "t")

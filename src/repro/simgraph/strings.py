@@ -12,22 +12,19 @@ Monge-Elkan. Monge-Elkan's secondary word similarity is Jaro (the
 paper uses optimised Smith-Waterman; Jaro is the standard cheap
 substitute — documented in DESIGN.md).
 
-The DP measures are numpy-vectorised over a *batch* of string pairs
-(the batch axis is the vector lane; the DP grid is looped), which is
-what makes the paper's no-blocking all-pairs computation tractable.
-``simgraph.build`` scores all pairs in one Spark job over side 1: each
-task pairs its slice of side-1 values with every side-2 value and calls
-:func:`schema_based_batch` on at most 10,000 pairs at a time. Jaro,
-q-grams and the token measures are still per-pair Python loops.
+:func:`schema_based_edges` scores every pair of two ``(id, text)``
+frames. q-grams and the token measures but Monge-Elkan come from count
+matrices over the grams both sides share (``ngrams.gram_counts``). The
+DP measures are numpy-vectorised over ``_STRING_BATCH`` flattened pairs
+at a time (the batch axis is the vector lane; the DP grid is looped);
+Jaro and Monge-Elkan are per-pair Python loops.
 """
 from __future__ import annotations
-
-from collections import Counter
 
 import numpy as np
 import pandas as pd
 
-from .ngrams import char_ngrams, normalize, tokens
+from .ngrams import char_ngrams, gram_counts, normalize, tokens
 
 CHAR_MEASURES = [
     "levenshtein",
@@ -51,18 +48,22 @@ TOKEN_MEASURES = [
 SCHEMA_BASED_MEASURES = CHAR_MEASURES + TOKEN_MEASURES
 
 
-def _encode(strings: list[str], max_len: int, pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width int codes (batch, max_len) + true lengths."""
+#: Characters of a value that the edit DP and Jaro read.
+_MAX_LEN = 30
+#: Pairs per ``_edit_family`` call, which bounds its DP arrays.
+_STRING_BATCH = 10_000
+
+
+def _encode(strings: list[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed-width int codes (batch, _MAX_LEN) + true lengths."""
     n = len(strings)
-    out = np.full((n, max_len), pad, dtype=np.int32)
+    out = np.full((n, _MAX_LEN), pad, dtype=np.int32)
     lens = np.zeros(n, dtype=np.int64)
     for i, s in enumerate(strings):
-        s = s[:max_len]
+        s = s[:_MAX_LEN]
         lens[i] = len(s)
         if s:
-            out[i, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)[
-                : len(s)
-            ].astype(np.int32)
+            out[i, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
     return out, lens
 
 
@@ -83,16 +84,12 @@ def _edit_family(
     seq_prev = np.zeros((n, l2 + 1), dtype=np.float32)
     str_prev = np.zeros((n, l2), dtype=np.float32)
 
-    lev_out = np.where(lb == 0, la, 0).astype(np.float32)
+    # row 0 boundary for pairs with la == 0; the others are set at row la
+    lev_out = lb.astype(np.float32)
     dam_out = lev_out.copy()
-    nw_out = (-2.0 * np.where(lb == 0, la, 0)).astype(np.float32)
+    nw_out = (-2.0 * lb).astype(np.float32)
     seq_out = np.zeros(n, dtype=np.float32)
     str_best = np.zeros(n, dtype=np.float32)
-    # row 0 boundary extraction for pairs with la == 0
-    zero_a = la == 0
-    lev_out = np.where(zero_a, lb, lev_out).astype(np.float32)
-    dam_out = np.where(zero_a, lb, dam_out).astype(np.float32)
-    nw_out = np.where(zero_a, -2.0 * lb, nw_out).astype(np.float32)
 
     for i in range(1, l1 + 1):
         eq_i = eq[:, i - 1, :]  # (n, l2)
@@ -115,7 +112,7 @@ def _edit_family(
                 np.minimum(dam_prev[:, j] + 1.0, dam_cur[:, j - 1] + 1.0),
                 dam_prev[:, j - 1] + sub,
             )
-            if i > 1 and j > 1 and dam_prev2 is not None:
+            if i > 1 and j > 1:
                 trans = (
                     (a[:, i - 1] == b[:, j - 2])
                     & (a[:, i - 2] == b[:, j - 1])
@@ -143,8 +140,7 @@ def _edit_family(
         str_prev = str_cur
 
         at_end = la == i
-        cols = np.minimum(lb, l2)
-        take = lambda m: m[np.arange(n), cols]  # noqa: E731
+        take = lambda m: m[np.arange(n), lb]  # noqa: E731
         lev_out = np.where(at_end, take(lev_cur), lev_out)
         dam_out = np.where(at_end, take(dam_cur), dam_out)
         nw_out = np.where(at_end, take(nw_cur), nw_out)
@@ -198,66 +194,94 @@ def jaro(s1: str, s2: str) -> float:
     return (m / len(s1) + m / len(s2) + (m - t) / m) / 3.0
 
 
-def _qgrams_sim(s1: str, s2: str, q: int = 3) -> float:
-    """Block distance over char q-gram profiles, as a similarity."""
-    c1 = Counter(char_ngrams(s1, q))
-    c2 = Counter(char_ngrams(s2, q))
-    n1, n2 = sum(c1.values()), sum(c2.values())
-    if n1 + n2 == 0:
-        return 0.0
-    l1 = sum(abs(c1[g] - c2[g]) for g in set(c1) | set(c2))
-    return 1.0 - l1 / (n1 + n2)
+def _count_measures(bags1: list[list[str]], bags2: list[list[str]]) -> dict:
+    """The seven token measures that depend only on gram counts, for
+    every pair of bags, side-1 major; 0 for pairs with an empty bag.
+    Over char trigrams, ``tok_block`` is the q-grams measure.
+
+    The pair statistics come from count matrices over the grams both
+    sides share. Each is an integer, so the float64 matmuls are exact.
+    """
+    g1, g2, shared = gram_counts(bags1, bags2)
+    c1, c2 = g1.on_shared(g1.cnt, shared), g2.on_shared(g2.cnt, shared)
+    dot = c1 @ c2.T
+    # Σ_g min(c1, c2) = Σ_k #{g : c1 >= k and c2 >= k}; k = 1 counts the
+    # shared grams (with none, dot is the zero matrix)
+    top = int(min(c1.max(initial=0), c2.max(initial=0)))
+    at_least = [(c1 >= k) * 1.0 @ (c2 >= k).T for k in range(1, top + 1)] or [dot]
+    smin, inter = sum(at_least), at_least[0]
+    # per bag: size, sum of squared counts, distinct grams
+    (n1, sq1, d1), (n2, sq2, d2) = (
+        [np.bincount(g.rows, g.cnt**p, g.n_rows)[axis] for p in (1, 2, 0)]
+        for g, axis in ((g1, np.s_[:, None]), (g2, np.s_[None, :]))
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sims = {
+            "tok_cosine": np.where(dot > 0, dot / (np.sqrt(sq1) * np.sqrt(sq2)), 0.0),
+            "tok_dice": 2.0 * inter / (d1 + d2),
+            "tok_jaccard": inter / (d1 + d2 - inter),
+            "tok_genjaccard": smin / (n1 + n2 - smin),
+            "tok_overlap": inter / np.minimum(d1, d2),
+            "tok_block": 1.0 - (n1 + n2 - 2.0 * smin) / (n1 + n2),
+            "tok_euclid": 1.0 / (1.0 + np.sqrt(sq1 + sq2 - 2.0 * dot)),
+        }
+    return {m: np.where((n1 > 0) & (n2 > 0), v, 0.0).ravel() for m, v in sims.items()}
 
 
-def _token_measures(s1: str, s2: str) -> dict[str, float]:
-    """All eight token-level schema-based measures for one pair."""
-    t1, t2 = tokens(s1), tokens(s2)
-    out = dict.fromkeys(TOKEN_MEASURES, 0.0)
+def _monge_elkan(t1: list[str], t2: list[str]) -> float:
+    """Mean over the tokens of ``t1`` of their best Jaro match in ``t2``."""
     if not t1 or not t2:
-        return out
-    c1, c2 = Counter(t1), Counter(t2)
-    set1, set2 = set(c1), set(c2)
-    inter = set1 & set2
-    dot = sum(c1[g] * c2[g] for g in inter)
-    norm1 = sum(v * v for v in c1.values()) ** 0.5
-    norm2 = sum(v * v for v in c2.values()) ** 0.5
-    out["tok_cosine"] = dot / (norm1 * norm2) if dot else 0.0
-    out["tok_dice"] = 2 * len(inter) / (len(set1) + len(set2))
-    out["tok_jaccard"] = len(inter) / len(set1 | set2)
-    smin = sum(min(c1[g], c2[g]) for g in inter)
-    smax = sum(c1.values()) + sum(c2.values()) - smin
-    out["tok_genjaccard"] = smin / smax if smax else 0.0
-    out["tok_overlap"] = len(inter) / min(len(set1), len(set2))
-    l1 = sum(abs(c1[g] - c2[g]) for g in set1 | set2)
-    out["tok_block"] = 1.0 - l1 / (sum(c1.values()) + sum(c2.values()))
-    eu = sum((c1[g] - c2[g]) ** 2 for g in set1 | set2) ** 0.5
-    out["tok_euclid"] = 1.0 / (1.0 + eu)
-    me = sum(max(jaro(w1, w2) for w2 in t2) for w1 in t1) / len(t1)
-    out["tok_monge_elkan"] = me
-    return out
+        return 0.0
+    return sum(max(jaro(w1, w2) for w2 in t2) for w1 in t1) / len(t1)
 
 
-def schema_based_batch(
-    values1: list[str], values2: list[str], max_len: int = 30
-) -> pd.DataFrame:
-    """All 15 schema-based measures for a batch of value pairs.
+def schema_based_edges(texts1: pd.DataFrame, texts2: pd.DataFrame) -> pd.DataFrame:
+    """All 15 schema-based measures for every pair of two ``(id, text)``
+    frames of normalised values.
+
+    One row per pair, side-1 major (row ``i * len(texts2) + j``): ``v1``,
+    ``v2`` and one column per measure in ``SCHEMA_BASED_MEASURES``.
+    """
+    s1, s2 = list(texts1["text"]), list(texts2["text"])
+    n1, n2 = len(s1), len(s2)
+    tok1, tok2 = [tokens(t) for t in s1], [tokens(t) for t in s2]
+    trigrams = ([char_ngrams(t, 3) for t in s] for s in (s1, s2))
+    sims = _count_measures(tok1, tok2)
+    sims["qgrams"] = _count_measures(*trigrams)["tok_block"]
+    sims.update((m, np.empty(n1 * n2)) for m in set(SCHEMA_BASED_MEASURES) - set(sims))
+
+    (a, la), (b, lb) = _encode(s1, pad=-1), _encode(s2, pad=-2)
+    cut1, cut2 = [t[:_MAX_LEN] for t in s1], [t[:_MAX_LEN] for t in s2]
+    for lo in range(0, n1 * n2, _STRING_BATCH):
+        i, j = np.divmod(np.arange(lo, min(lo + _STRING_BATCH, n1 * n2)), n2)
+        part = _edit_family(a[i], la[i], b[j], lb[j])
+        pairs = list(zip(i.tolist(), j.tolist()))
+        part["jaro"] = [jaro(cut1[x], cut2[y]) for x, y in pairs]
+        part["tok_monge_elkan"] = [_monge_elkan(tok1[x], tok2[y]) for x, y in pairs]
+        for m, v in part.items():
+            sims[m][lo : lo + len(pairs)] = v
+    return pd.DataFrame(
+        {
+            "v1": np.repeat(texts1["id"].to_numpy(np.int64), n2),
+            "v2": np.tile(texts2["id"].to_numpy(np.int64), n1),
+            **{m: sims[m] for m in SCHEMA_BASED_MEASURES},
+        }
+    )
+
+
+def schema_based_batch(values1: list, values2: list) -> pd.DataFrame:
+    """All 15 schema-based measures for a list of value pairs.
 
     Inputs are raw attribute values (may be None); output has one row
-    per input pair with one column per measure in
-    ``SCHEMA_BASED_MEASURES``.
+    per pair ``(values1[k], values2[k])``, one column per measure. It
+    scores the cross product of each side's distinct normalised values,
+    so it suits cross products and short lists.
     """
-    s1 = [normalize(v) for v in values1]
-    s2 = [normalize(v) for v in values2]
-    a, la = _encode(s1, max_len, pad=-1)
-    b, lb = _encode(s2, max_len, pad=-2)
-    sims = _edit_family(a, la, b, lb)
-    sims["jaro"] = np.array(
-        [jaro(x[:max_len], y[:max_len]) for x, y in zip(s1, s2)], dtype=np.float64
+    (c1, u1), (c2, u2) = (
+        pd.factorize(np.array([normalize(v) for v in vals], dtype=object))
+        for vals in (values1, values2)
     )
-    sims["qgrams"] = np.array(
-        [_qgrams_sim(x, y) for x, y in zip(s1, s2)], dtype=np.float64
+    wide = schema_based_edges(
+        *(pd.DataFrame({"id": np.arange(len(u)), "text": u}) for u in (u1, u2))
     )
-    tok = [_token_measures(x, y) for x, y in zip(s1, s2)]
-    for m in TOKEN_MEASURES:
-        sims[m] = np.array([r[m] for r in tok], dtype=np.float64)
-    return pd.DataFrame({m: np.asarray(sims[m], dtype=np.float64) for m in SCHEMA_BASED_MEASURES})
+    return wide.iloc[c1 * len(u2) + c2][SCHEMA_BASED_MEASURES].reset_index(drop=True)

@@ -22,31 +22,13 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .ngrams import grams
+from .ngrams import gram_counts, grams
 
 #: representation models used in the reproduction (paper: n in {2,3,4}
 #: char / {1,2,3} token; trimmed to keep the full sweep laptop-sized).
 VECTOR_MODELS = [("char", 2), ("char", 3), ("token", 1), ("token", 2)]
 
 VECTOR_MEASURES = ["cosine_tf", "cosine_tfidf", "jaccard", "arcs"]
-
-_EDGE_COLS = ["v1", "v2", "cosine_tf", "cosine_tfidf", "jaccard", "arcs"]
-
-
-def _gram_counts(texts: pd.DataFrame, kind: str, n: int) -> pd.DataFrame:
-    """Long-form (id, gram, cnt) frame for one collection."""
-    rows_id, rows_gram = [], []
-    for eid, text in zip(texts["id"], texts["text"]):
-        for g in grams(text, kind, n):
-            rows_id.append(eid)
-            rows_gram.append(g)
-    long = pd.DataFrame({"id": rows_id, "gram": rows_gram})
-    if long.empty:
-        return pd.DataFrame({"id": [], "gram": [], "cnt": []})
-    return long.groupby(["id", "gram"], as_index=False).size().rename(
-        columns={"size": "cnt"}
-    )
-
 
 def _arcs_weight(df1: np.ndarray, df2: np.ndarray) -> np.ndarray:
     """ARCS per-gram weight log2 / log(DF1*DF2), guarded for DF1*DF2=1."""
@@ -58,49 +40,39 @@ def dense_vector_edges(
     texts1: pd.DataFrame, texts2: pd.DataFrame, kind: str, n: int
 ) -> pd.DataFrame:
     """All-pairs vector similarities via float64 matmul over shared grams."""
-    g1 = _gram_counts(texts1, kind, n)
-    g2 = _gram_counts(texts2, kind, n)
-    if g1.empty or g2.empty:
-        return pd.DataFrame(columns=_EDGE_COLS)
-    df1, df2 = g1.groupby("gram").size(), g2.groupby("gram").size()
-    shared = df1.index.intersection(df2.index)
-    dfs = df1.add(df2, fill_value=0)
+    c1, c2, shared = gram_counts(
+        *([grams(t, kind, n) for t in texts["text"]] for texts in (texts1, texts2))
+    )
+    df1, df2 = (np.bincount(c.cols, minlength=len(shared)) * 1.0 for c in (c1, c2))
+    dfs = df1 + df2
     n_docs = len(texts1) + len(texts2)
 
-    def side(g: pd.DataFrame, texts: pd.DataFrame):
+    def side(c):
         """Shared-gram tf, tf-idf and presence matrices, then per entity
         the full-vocabulary tf norm, tf-idf norm and distinct-gram count."""
-        rows, n_rows = pd.Index(texts["id"]).get_indexer(g["id"]), len(texts)
-        cnt = g["cnt"].to_numpy(np.float64)
-        tf = cnt / np.bincount(rows, cnt, n_rows)[rows]
-        ti = tf * np.log(n_docs / (dfs.loc[g["gram"]].to_numpy() + 1.0))
-        cols = shared.get_indexer(g["gram"])
-        on = cols >= 0
-
-        def mat(values: np.ndarray) -> np.ndarray:
-            m = np.zeros((n_rows, len(shared)))
-            m[rows[on], cols[on]] = values[on]
-            return m
+        cnt = c.cnt * 1.0
+        tf = cnt / np.bincount(c.rows, cnt, c.n_rows)[c.rows]
+        ti = tf * np.log(n_docs / (dfs[c.cols] + 1.0))
 
         def norm(values: np.ndarray) -> np.ndarray:
-            return np.sqrt(np.bincount(rows, values * values, n_rows))
+            return np.sqrt(np.bincount(c.rows, values * values, c.n_rows))
 
         return (
-            mat(tf), mat(ti), mat(np.ones(len(g))),
-            norm(tf), norm(ti), np.bincount(rows, minlength=n_rows),
+            c.on_shared(tf, shared), c.on_shared(ti, shared),
+            c.on_shared(np.ones(len(cnt)), shared),
+            norm(tf), norm(ti), np.bincount(c.rows, minlength=c.n_rows),
         )
 
-    tf1, ti1, b1, ntf1, nti1, d1 = side(g1, texts1)
-    tf2, ti2, b2, ntf2, nti2, d2 = side(g2, texts2)
+    tf1, ti1, b1, ntf1, nti1, d1 = side(c1)
+    tf2, ti2, b2, ntf2, nti2, d2 = side(c2)
 
     def cos(a, b, na, nb) -> np.ndarray:
         return (a @ b.T) / np.maximum(np.outer(na, nb), 1e-12)
 
     common = b1 @ b2.T
     jac = common / np.maximum(d1[:, None] + d2[None, :] - common, 1.0)
-    arcs_w = _arcs_weight(
-        df1.loc[shared].to_numpy(np.float64), df2.loc[shared].to_numpy(np.float64)
-    )
+    on = shared >= 0
+    arcs_w = _arcs_weight(df1[on], df2[on])
     arcs = (b1 * arcs_w) @ b2.T
 
     i, j = np.nonzero(common > 0)

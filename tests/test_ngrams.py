@@ -1,10 +1,12 @@
 """Unit tests for n-gram extraction and text normalisation."""
+import numpy as np
 import pandas as pd
 import pytest
 
 from repro.simgraph.ngrams import (
     char_ngrams,
     entity_text,
+    gram_counts,
     grams,
     normalize,
     token_ngrams,
@@ -81,3 +83,17 @@ class TestEntityText:
 
     def test_dict_input(self):
         assert entity_text({"id": 1, "a": "X", "b": "y"}) == "x y"
+
+
+def test_gram_counts_sorted_long_form_and_shared_columns():
+    """Entries sorted by bag, then by gram over one sorted vocabulary
+    ({a, b, c, d}); shared maps the grams of both sides (a, c) to 0, 1."""
+    s1, s2, shared = gram_counts([["c", "a", "c"], [], ["d"]], [["a", "b"], ["c"]])
+    assert [s1.rows.tolist(), s1.cols.tolist(), s1.cnt.tolist()] == [
+        [0, 0, 2], [0, 2, 3], [1, 2, 1]
+    ]
+    assert [s2.rows.tolist(), s2.cols.tolist(), s2.cnt.tolist()] == [
+        [0, 0, 1], [0, 1, 2], [1, 1, 1]
+    ]
+    assert shared.tolist() == [0, -1, 1, -1]
+    np.testing.assert_array_equal(s1.on_shared(s1.cnt, shared), [[1, 2], [0, 0], [0, 0]])

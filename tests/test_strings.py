@@ -1,14 +1,20 @@
 """Schema-based measure kernels vs independent pure-python references."""
 import numpy as np
+import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.simgraph.ngrams import normalize
 from repro.simgraph.strings import (
     SCHEMA_BASED_MEASURES,
+    TOKEN_MEASURES,
     jaro,
     schema_based_batch,
+    schema_based_edges,
 )
+
+from .string_oracles import qgrams_sim, token_measures
 
 WORDS = st.text(alphabet="abcdef ", min_size=0, max_size=18)
 
@@ -173,3 +179,48 @@ def test_long_strings_truncated_consistently():
     long = "x" * 100
     row = schema_based_batch([long], [long]).iloc[0]
     assert row["levenshtein"] == 1.0
+
+
+# Values with repeated tokens and trigrams, one character, empty and None.
+VALUES = st.one_of(
+    st.sampled_from(
+        ["cheap cheap", "aaaaaaa", "a", "", "  ", None, "red car cheap cheap", "b a b a"]
+    ),
+    st.text(alphabet="ab c", max_size=12),
+)
+
+
+@given(pairs=st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6))
+@example(pairs=[("cheap cheap", "cheap"), ("aaaaaaa", "aaaa"), ("a", None), ("", "a")])
+@example(pairs=[("b a", "a"), ("a", "a"), ("b a", "a"), ("a", "b a")])
+@settings(max_examples=25, deadline=None)
+def test_count_measures_and_monge_elkan_equal_oracles(pairs):
+    """q-grams and the eight token measures equal the per-pair Counter
+    oracles, and a pair list that is no cross product (any order,
+    repeated values) equals scoring each pair alone."""
+    left, right = [a for a, _ in pairs], [b for _, b in pairs]
+    out = schema_based_batch(left, right)
+    for k, (a, b) in enumerate(pairs):
+        a, b = normalize(a), normalize(b)
+        expected = {"qgrams": qgrams_sim(a, b), **token_measures(a, b)}
+        for m in ["qgrams", *TOKEN_MEASURES]:
+            assert out.loc[k, m] == pytest.approx(expected[m], rel=0, abs=1e-12), m
+        alone = schema_based_batch([pairs[k][0]], [pairs[k][1]])
+        np.testing.assert_allclose(
+            out.loc[[k], SCHEMA_BASED_MEASURES].to_numpy(), alone.to_numpy(),
+            rtol=0, atol=1e-12,
+        )
+
+
+def test_edges_rows_are_the_flattened_cross_product():
+    t1 = pd.DataFrame({"id": [7, 3], "text": ["red car", ""]})
+    t2 = pd.DataFrame({"id": [10, 2, 5], "text": ["car", "red car", "aaaa"]})
+    wide = schema_based_edges(t1, t2)
+    assert list(wide.columns) == ["v1", "v2", *SCHEMA_BASED_MEASURES]
+    assert wide["v1"].tolist() == [7, 7, 7, 3, 3, 3]
+    assert wide["v2"].tolist() == [10, 2, 5, 10, 2, 5]
+    for k, (a, b) in enumerate((a, b) for a in t1["text"] for b in t2["text"]):
+        np.testing.assert_array_equal(
+            wide.loc[k, SCHEMA_BASED_MEASURES].to_numpy(np.float64),
+            schema_based_batch([a], [b]).iloc[0].to_numpy(np.float64),
+        )
