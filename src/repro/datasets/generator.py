@@ -15,7 +15,7 @@ side, so clusters have at most two records — the CCER setting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
@@ -40,7 +40,6 @@ class DatasetSpec:
     misplace: float = 0.0  # bibliographic misplaced-value rate
     attributes: tuple = ()  # schema-based attributes (paper Sec. 5)
     seed: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def primary_attribute(self) -> str:

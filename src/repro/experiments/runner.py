@@ -77,7 +77,6 @@ def run_sweep(
     algorithms: list[str] = ALGORITHM_ORDER,
     thresholds=THRESHOLDS,
     timing_reps: int = 3,
-    bah_max_moves: int = 10_000,
 ) -> pd.DataFrame:
     """Stage 2: the distributed (graph x algorithm) parameter sweep."""
     graphs = [
@@ -89,7 +88,6 @@ def run_sweep(
         graphs, manifest["n_edges"].tolist(), min(sc.defaultParallelism, len(graphs))
     )
     algos, grid = list(algorithms), [float(t) for t in thresholds]
-    reps, moves = timing_reps, bah_max_moves
 
     def run_bin(graphs_in_bin):
         truths = {}
@@ -105,8 +103,7 @@ def run_sweep(
                 truths[gt_path],
                 algorithms=algos,
                 thresholds=grid,
-                timing_reps=reps,
-                bah_max_moves=moves,
+                timing_reps=timing_reps,
             ):
                 yield {**r, "graph_id": graph_id, "params": json.dumps(r["params"])}
 

@@ -15,9 +15,11 @@ substitute — documented in DESIGN.md).
 :func:`schema_based_edges` scores every pair of two ``(id, text)``
 frames. q-grams and the token measures but Monge-Elkan come from count
 matrices over the grams both sides share (``ngrams.gram_counts``). The
-DP measures are numpy-vectorised over ``_STRING_BATCH`` flattened pairs
-at a time (the batch axis is the vector lane; the DP grid is looped);
-Jaro and Monge-Elkan are per-pair Python loops.
+five edit DPs and Jaro run over ``_STRING_BATCH`` flattened pairs at a
+time, on a grid as wide as the batch's longest value: both take one step
+per character position of the side-1 values, each step a few numpy ops
+over all pairs of the batch. Monge-Elkan reads one Jaro table over the
+distinct tokens of both sides. No Python loop runs per pair or per cell.
 """
 from __future__ import annotations
 
@@ -50,111 +52,85 @@ SCHEMA_BASED_MEASURES = CHAR_MEASURES + TOKEN_MEASURES
 
 #: Characters of a value that the edit DP and Jaro read.
 _MAX_LEN = 30
-#: Pairs per ``_edit_family`` call, which bounds its DP arrays.
+#: Pairs per kernel call, which bounds the DP and Jaro arrays.
 _STRING_BATCH = 10_000
 
 
+def _padded(flat: np.ndarray, lens: np.ndarray, pad: int) -> np.ndarray:
+    """``flat`` cut into consecutive pieces of ``lens``, laid out
+    (position, piece), as long as the longest piece, padded with ``pad``."""
+    out = np.full((len(lens), lens.max(initial=0)), pad, dtype=flat.dtype)
+    out[np.arange(out.shape[1]) < lens[:, None]] = flat
+    return out.T.copy()
+
+
 def _encode(strings: list[str], pad: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-width int codes (batch, _MAX_LEN) + true lengths."""
-    n = len(strings)
-    out = np.full((n, _MAX_LEN), pad, dtype=np.int32)
-    lens = np.zeros(n, dtype=np.int64)
-    for i, s in enumerate(strings):
-        s = s[:_MAX_LEN]
-        lens[i] = len(s)
-        if s:
-            out[i, : len(s)] = np.frombuffer(s.encode("utf-32-le"), dtype=np.uint32)
-    return out, lens
+    """Code points laid out (position, string), padded with ``pad``, and
+    the lengths."""
+    lens = np.array([len(s) for s in strings], dtype=np.int64)
+    codes = np.frombuffer("".join(strings).encode("utf-32-le"), dtype=np.int32)
+    return _padded(codes, lens, pad), lens
+
+
+def _cross_batches(n1: int, n2: int):
+    """``(lo, i, j)``: the side-1-major pairs ``lo, lo + 1, ...`` of an
+    ``n1 x n2`` cross product as index arrays, ``_STRING_BATCH`` at a time."""
+    for lo in range(0, n1 * n2, _STRING_BATCH):
+        yield lo, *np.divmod(np.arange(lo, min(lo + _STRING_BATCH, n1 * n2)), n2)
 
 
 def _edit_family(
     a: np.ndarray, la: np.ndarray, b: np.ndarray, lb: np.ndarray
 ) -> dict[str, np.ndarray]:
-    """Batched DP for Levenshtein, Damerau(OSA), NW, LCS-seq, LCS-str."""
-    n, l1 = a.shape
-    l2 = b.shape[1]
-    eq = a[:, :, None] == b[:, None, :]  # (n, l1, l2)
+    """Levenshtein, Damerau (OSA), NW, LCS-seq and LCS-str of every pair
+    ``(a[:, k], b[:, k])`` of encoded strings.
 
-    big = np.float32(1e9)
-    # Levenshtein / Damerau rows
-    lev_prev = np.tile(np.arange(l2 + 1, dtype=np.float32), (n, 1))
-    dam_prev = lev_prev.copy()
-    dam_prev2 = None
-    nw_prev = np.tile(np.arange(0, -2 * (l2 + 1), -2, dtype=np.float32), (n, 1))
-    seq_prev = np.zeros((n, l2 + 1), dtype=np.float32)
-    str_prev = np.zeros((n, l2), dtype=np.float32)
+    The DP runs one row per position of ``a``, each row laid out as
+    (position in b, pair). With x[j] the best of a cell's candidates
+    from the row above, its left neighbour makes the row a running min
+    or max: Levenshtein and OSA cur[j] = j + min_{k<=j}(x[k] - k), NW
+    cur[j] = -2j + max_{k<=j}(x[k] + 2k), LCS-seq a plain running max.
+    Every cell is a small integer in float32, so all of this is exact.
+    """
+    n = len(la)
+    a, b = a[: la.max(initial=0)], b[: lb.max(initial=0)]
+    j = np.arange(len(b) + 1, dtype=np.float32)[:, None]
 
-    # row 0 boundary for pairs with la == 0; the others are set at row la
-    lev_out = lb.astype(np.float32)
-    dam_out = lev_out.copy()
-    nw_out = (-2.0 * lb).astype(np.float32)
-    seq_out = np.zeros(n, dtype=np.float32)
-    str_best = np.zeros(n, dtype=np.float32)
+    def along_b(first, x, running, slope):  # the row from its column 0 and x[1:]
+        x = np.concatenate((np.full((1, n), first, np.float32), x)) - slope * j
+        return running.accumulate(x, axis=0) + slope * j
 
-    for i in range(1, l1 + 1):
-        eq_i = eq[:, i - 1, :]  # (n, l2)
-        lev_cur = np.empty_like(lev_prev)
-        dam_cur = np.empty_like(dam_prev)
-        nw_cur = np.empty_like(nw_prev)
-        seq_cur = np.empty_like(seq_prev)
-        lev_cur[:, 0] = i
-        dam_cur[:, 0] = i
-        nw_cur[:, 0] = -2.0 * i
-        seq_cur[:, 0] = 0.0
-        for j in range(1, l2 + 1):
-            e = eq_i[:, j - 1]
-            sub = np.where(e, 0.0, 1.0).astype(np.float32)
-            lev_cur[:, j] = np.minimum(
-                np.minimum(lev_prev[:, j] + 1.0, lev_cur[:, j - 1] + 1.0),
-                lev_prev[:, j - 1] + sub,
-            )
-            d = np.minimum(
-                np.minimum(dam_prev[:, j] + 1.0, dam_cur[:, j - 1] + 1.0),
-                dam_prev[:, j - 1] + sub,
-            )
-            if i > 1 and j > 1:
-                trans = (
-                    (a[:, i - 1] == b[:, j - 2])
-                    & (a[:, i - 2] == b[:, j - 1])
-                )
-                d = np.where(trans, np.minimum(d, dam_prev2[:, j - 2] + 1.0), d)
-            dam_cur[:, j] = d
-            nw_cur[:, j] = np.maximum(
-                np.maximum(nw_prev[:, j] - 2.0, nw_cur[:, j - 1] - 2.0),
-                nw_prev[:, j - 1] + np.where(e, 0.0, -1.0).astype(np.float32),
-            )
-            seq_cur[:, j] = np.where(
-                e,
-                seq_prev[:, j - 1] + 1.0,
-                np.maximum(seq_prev[:, j], seq_cur[:, j - 1]),
-            )
-        # LCS-substring: fully vectorised over j
-        str_cur = np.zeros((n, l2), dtype=np.float32)
-        str_cur[:, 0] = np.where(eq_i[:, 0], 1.0, 0.0)
-        str_cur[:, 1:] = np.where(eq_i[:, 1:], str_prev[:, :-1] + 1.0, 0.0)
-        # mask positions beyond the true length of b
-        valid_b = np.arange(l2)[None, :] < lb[:, None]
-        str_best = np.maximum(
-            str_best, np.where(valid_b, str_cur, 0.0).max(axis=1)
-        )
-        str_prev = str_cur
-
-        at_end = la == i
-        take = lambda m: m[np.arange(n), lb]  # noqa: E731
-        lev_out = np.where(at_end, take(lev_cur), lev_out)
-        dam_out = np.where(at_end, take(dam_cur), dam_out)
-        nw_out = np.where(at_end, take(nw_cur), nw_out)
-        seq_out = np.where(at_end, take(seq_cur), seq_out)
-        dam_prev2 = dam_prev
-        lev_prev, dam_prev, nw_prev, seq_prev = lev_cur, dam_cur, nw_cur, seq_cur
+    lev = dam = np.repeat(j, n, axis=1)
+    nw, seq = -2 * lev, np.zeros_like(lev)
+    run = np.zeros_like(lev)  # LCS-str: the common run ending at each cell
+    best = np.zeros(n, dtype=np.float32)
+    names = ("levenshtein", "damerau", "needleman_wunsch", "lcs_seq")
+    out = {m: np.empty(n, dtype=np.float32) for m in names}
+    for i in range(len(a) + 1):
+        if i:
+            eq = b == a[i - 1]
+            sub = (~eq).astype(np.float32)
+            lev = along_b(i, np.minimum(lev[1:] + 1, lev[:-1] + sub), np.minimum, 1)
+            x = np.minimum(dam[1:] + 1, dam[:-1] + sub)
+            if i > 1:  # OSA: a[i-2:i] and b[j-2:j] transposed
+                swap = (b[:-1] == a[i - 1]) & (b[1:] == a[i - 2])
+                x[1:] = np.where(swap, np.minimum(x[1:], dam2[:-2] + 1), x[1:])
+            dam2, dam = dam, along_b(i, x, np.minimum, 1)
+            nw = along_b(-2 * i, np.maximum(nw[1:] - 2, nw[:-1] - sub), np.maximum, -2)
+            seq = along_b(0, np.where(eq, seq[:-1] + 1, seq[1:]), np.maximum, 0)
+            run[1:] = (run[:-1] + 1) * eq
+            best = np.maximum(best, run.max(axis=0))
+        at = np.flatnonzero(la == i)  # pairs whose a ends here read column lb
+        for m, row in zip(names, (lev, dam, nw, seq)):
+            out[m][at] = row[lb[at], at]
 
     ml = np.maximum(np.maximum(la, lb), 1).astype(np.float32)
     sims = {
-        "levenshtein": 1.0 - lev_out / ml,
-        "damerau": 1.0 - dam_out / ml,
-        "needleman_wunsch": np.clip(1.0 + nw_out / (2.0 * ml), 0.0, 1.0),
-        "lcs_seq": seq_out / ml,
-        "lcs_str": str_best / ml,
+        "levenshtein": 1.0 - out["levenshtein"] / ml,
+        "damerau": 1.0 - out["damerau"] / ml,
+        "needleman_wunsch": np.clip(1.0 + out["needleman_wunsch"] / (2.0 * ml), 0.0, 1.0),
+        "lcs_seq": out["lcs_seq"] / ml,
+        "lcs_str": best / ml,
     }
     both_empty = (la == 0) & (lb == 0)
     for k in sims:
@@ -162,36 +138,41 @@ def _edit_family(
     return sims
 
 
+def _jaro(a: np.ndarray, la: np.ndarray, b: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Jaro similarity of every pair ``(a[:, k], b[:, k])`` of encoded
+    strings; 0 if either is empty.
+
+    One step per position i of ``a`` matches it, in every pair at once,
+    to the first free equal character of ``b`` within the window. The
+    matched characters of each side, in order, are the matched positions
+    moved to the front by a stable argsort.
+    """
+    n = len(la)
+    a, b = a[: la.max(initial=0)], b[: lb.max(initial=0)]
+    if not len(a) or not len(b):
+        return np.zeros(n)
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    pos = np.arange(len(b))[:, None]
+    free, matched, pair = np.ones(b.shape, bool), np.zeros(a.shape, bool), np.arange(n)
+    for i in range(len(a)):
+        cand = (b == a[i]) & free & (np.abs(pos - i) <= window)
+        first = cand.argmax(axis=0)
+        matched[i] = cand[first, pair]
+        free[first[matched[i]], pair[matched[i]]] = False
+    m = matched.sum(axis=0)
+    k = min(len(a), len(b))
+    c1, c2 = (
+        np.take_along_axis(s, np.argsort(unmatched, axis=0, kind="stable")[:k], axis=0)
+        for s, unmatched in ((a, ~matched), (b, free))
+    )
+    t = ((c1 != c2) & (np.arange(k)[:, None] < m)).sum(axis=0) // 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(m > 0, (m / la + m / lb + (m - t) / m) / 3.0, 0.0)
+
+
 def jaro(s1: str, s2: str) -> float:
     """Jaro similarity of two strings."""
-    if not s1 or not s2:
-        return 0.0
-    if s1 == s2:
-        return 1.0
-    window = max(len(s1), len(s2)) // 2 - 1
-    window = max(window, 0)
-    match1 = [False] * len(s1)
-    match2 = [False] * len(s2)
-    m = 0
-    for i, c in enumerate(s1):
-        lo, hi = max(0, i - window), min(len(s2), i + window + 1)
-        for j in range(lo, hi):
-            if not match2[j] and s2[j] == c:
-                match1[i] = match2[j] = True
-                m += 1
-                break
-    if m == 0:
-        return 0.0
-    k = t = 0
-    for i, c in enumerate(s1):
-        if match1[i]:
-            while not match2[k]:
-                k += 1
-            if c != s2[k]:
-                t += 1
-            k += 1
-    t //= 2
-    return (m / len(s1) + m / len(s2) + (m - t) / m) / 3.0
+    return float(_jaro(*_encode([s1], pad=-1), *_encode([s2], pad=-2))[0])
 
 
 def _count_measures(bags1: list[list[str]], bags2: list[list[str]]) -> dict:
@@ -228,11 +209,36 @@ def _count_measures(bags1: list[list[str]], bags2: list[list[str]]) -> dict:
     return {m: np.where((n1 > 0) & (n2 > 0), v, 0.0).ravel() for m, v in sims.items()}
 
 
-def _monge_elkan(t1: list[str], t2: list[str]) -> float:
-    """Mean over the tokens of ``t1`` of their best Jaro match in ``t2``."""
-    if not t1 or not t2:
-        return 0.0
-    return sum(max(jaro(w1, w2) for w2 in t2) for w1 in t1) / len(t1)
+def _token_rows(toks: list[list[str]]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Distinct tokens, each value's token indices laid out (position,
+    value) and padded with ``len(distinct)``, and each value's count."""
+    counts = np.array([len(t) for t in toks], dtype=np.int64)
+    codes, distinct = pd.factorize(np.array([w for t in toks for w in t], dtype=object))
+    return list(distinct), _padded(codes, counts, len(distinct)), counts
+
+
+def _monge_elkan(tok1: list[list[str]], tok2: list[list[str]]) -> np.ndarray:
+    """Monge-Elkan of every pair of token lists, shape (len(tok1),
+    len(tok2)): the mean over a side-1 value's tokens of their best Jaro
+    match among the side-2 value's tokens; 0 if either has no token.
+
+    Jaro runs once per pair of distinct tokens, at full length, into a
+    table with a zero row and column for the padding, which changes
+    neither a max of Jaro values nor a sum. The side-1 rows are added
+    one at a time, in token order, as Python's ``sum`` adds them.
+    """
+    (u1, rows1, n1), (u2, rows2, _) = _token_rows(tok1), _token_rows(tok2)
+    (a, la), (b, lb) = _encode(u1, pad=-1), _encode(u2, pad=-2)
+    table = np.zeros((len(u1) + 1, len(u2) + 1))
+    for _, i, j in _cross_batches(len(u1), len(u2)):
+        table[i, j] = _jaro(a[:, i], la[i], b[:, j], lb[j])
+    best = np.zeros((len(u1) + 1, len(tok2)))  # per distinct side-1 token
+    for cols in rows2:
+        np.maximum(best, table[:, cols], out=best)
+    total = np.zeros((len(tok1), len(tok2)))
+    for tok in rows1:
+        total += best[tok]
+    return total / np.maximum(n1, 1)[:, None]
 
 
 def schema_based_edges(texts1: pd.DataFrame, texts2: pd.DataFrame) -> pd.DataFrame:
@@ -248,18 +254,17 @@ def schema_based_edges(texts1: pd.DataFrame, texts2: pd.DataFrame) -> pd.DataFra
     trigrams = ([char_ngrams(t, 3) for t in s] for s in (s1, s2))
     sims = _count_measures(tok1, tok2)
     sims["qgrams"] = _count_measures(*trigrams)["tok_block"]
+    sims["tok_monge_elkan"] = _monge_elkan(tok1, tok2).ravel()
     sims.update((m, np.empty(n1 * n2)) for m in set(SCHEMA_BASED_MEASURES) - set(sims))
 
-    (a, la), (b, lb) = _encode(s1, pad=-1), _encode(s2, pad=-2)
-    cut1, cut2 = [t[:_MAX_LEN] for t in s1], [t[:_MAX_LEN] for t in s2]
-    for lo in range(0, n1 * n2, _STRING_BATCH):
-        i, j = np.divmod(np.arange(lo, min(lo + _STRING_BATCH, n1 * n2)), n2)
-        part = _edit_family(a[i], la[i], b[j], lb[j])
-        pairs = list(zip(i.tolist(), j.tolist()))
-        part["jaro"] = [jaro(cut1[x], cut2[y]) for x, y in pairs]
-        part["tok_monge_elkan"] = [_monge_elkan(tok1[x], tok2[y]) for x, y in pairs]
+    (a, la), (b, lb) = (
+        _encode([t[:_MAX_LEN] for t in s], pad) for s, pad in ((s1, -1), (s2, -2))
+    )
+    for lo, i, j in _cross_batches(n1, n2):
+        batch = a[:, i], la[i], b[:, j], lb[j]
+        part = {**_edit_family(*batch), "jaro": _jaro(*batch)}
         for m, v in part.items():
-            sims[m][lo : lo + len(pairs)] = v
+            sims[m][lo : lo + len(i)] = v
     return pd.DataFrame(
         {
             "v1": np.repeat(texts1["id"].to_numpy(np.int64), n2),

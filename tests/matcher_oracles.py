@@ -2,7 +2,9 @@
 ``PreparedGraph`` replaced, kept verbatim (only renamed) so that the
 rewritten ``rsr``, ``rca``, ``bmc``, ``krc``, ``umc`` and ``exc`` can be
 checked against them pair for pair. Each re-filters its edges and
-re-sorts them with ``desc_order`` on every call.
+re-sorts them with ``desc_order`` on every call. ``cnc_oracle`` is the
+component search (min-label propagation with pointer jumping) that
+CNC's degree check replaced.
 """
 from __future__ import annotations
 
@@ -10,7 +12,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.matchers.base import EMPTY_PAIRS, as_edge_arrays, pairs_array
+from repro.core.matchers.base import EMPTY_PAIRS, as_edge_arrays, edges_above, pairs_array
 
 
 def desc_order(v1: np.ndarray, v2: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -257,8 +259,41 @@ def rsr_oracle(v1, v2, w, t: float) -> np.ndarray:
     return pairs_array(out)
 
 
+def _components(ia: np.ndarray, ib: np.ndarray, n: int) -> np.ndarray:
+    """Component label (min node slot) per node slot 0..n-1."""
+    labels = np.arange(n, dtype=np.int64)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, ia, np.minimum(labels[ia], labels[ib]))
+        np.minimum.at(new, ib, np.minimum(labels[ia], labels[ib]))
+        new = np.minimum(new, new[new])  # pointer jumping
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def cnc_oracle(v1, v2, w, t: float) -> np.ndarray:
+    """Match left/right nodes whose pruned component is a single edge."""
+    # Alg. 2 discards edges *lower* than t
+    a, b, _ = edges_above(v1, v2, w, t, closed=True)
+    if not len(a):
+        return EMPTY_PAIRS
+    # Disjoint global node space: left ids stay even, right ids odd.
+    nodes, inv = np.unique(np.concatenate([a * 2, b * 2 + 1]), return_inverse=True)
+    m = len(a)
+    ia, ib = inv[:m], inv[m:]
+    labels = _components(ia, ib, len(nodes))
+    _, counts = np.unique(labels, return_counts=True)
+    size_of = np.zeros(len(nodes), dtype=np.int64)
+    size_of[np.unique(labels)] = counts
+    isolated = size_of[labels[ia]] == 2
+    out = {(int(x), int(y)) for x, y in zip(a[isolated], b[isolated])}
+    return pairs_array(list(out))
+
+
 #: Paper acronym -> frozen oracle.
 ORACLES = {
+    "CNC": cnc_oracle,
     "RSR": rsr_oracle,
     "RCA": rca_oracle,
     "BMC": bmc_oracle,

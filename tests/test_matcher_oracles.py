@@ -1,4 +1,4 @@
-"""The node-loop matchers return exactly the pairs of the frozen per-edge
+"""The rewritten matchers return exactly the pairs of the frozen per-edge
 oracles in ``tests/matcher_oracles.py``: through the public call and
 through ``graph=`` with the whole graph prepared, on random, all-tied,
 few-level-tied, chain and many-component graphs, at grid thresholds and
@@ -16,7 +16,8 @@ from .matcher_oracles import ORACLES
 
 #: (algorithm, params) for every rewritten matcher; BMC with both bases.
 VARIANTS = [
-    ("RSR", {}), ("RCA", {}), ("BMC", {"basis": "left"}), ("BMC", {"basis": "right"}),
+    ("CNC", {}), ("RSR", {}), ("RCA", {}),
+    ("BMC", {"basis": "left"}), ("BMC", {"basis": "right"}),
     ("KRC", {}), ("UMC", {}), ("EXC", {}),
 ]
 
@@ -106,3 +107,20 @@ def test_empty_output_shape(algo):
     v1, v2, w = np.array([1]), np.array([2]), np.array([0.3])
     out = ALGORITHMS[algo](v1, v2, w, 0.9, graph=PreparedGraph(v1, v2, w))
     assert out.shape == (0, 2) and out.dtype == np.int64
+
+
+@given(
+    edges=st.lists(
+        st.tuples(st.integers(-3, 4), st.integers(-3, 4), st.sampled_from((0.2, 0.5, 0.9))),
+        min_size=1,
+        max_size=20,
+    ),
+    t=st.sampled_from((0.0, 0.5, 0.9)),
+)
+@settings(max_examples=200, deadline=None)
+def test_cnc_with_repeated_edges_and_negative_ids_equals_oracle(edges, t):
+    """CNC counts a repeated (v1, v2) edge once, as the component search did."""
+    v1, v2, w = (np.array(c) for c in zip(*edges))
+    want = ORACLES["CNC"](v1, v2, w, t).tolist()
+    assert ALGORITHMS["CNC"](v1, v2, w, t).tolist() == want
+    assert ALGORITHMS["CNC"](v1, v2, w, t, graph=PreparedGraph(v1, v2, w)).tolist() == want

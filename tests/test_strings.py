@@ -1,12 +1,15 @@
 """Schema-based measure kernels vs independent pure-python references."""
+from itertools import product
+
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simgraph.ngrams import normalize
+from repro.simgraph.ngrams import normalize, tokens
 from repro.simgraph.strings import (
+    _MAX_LEN,
     SCHEMA_BASED_MEASURES,
     TOKEN_MEASURES,
     jaro,
@@ -14,7 +17,8 @@ from repro.simgraph.strings import (
     schema_based_edges,
 )
 
-from .string_oracles import qgrams_sim, token_measures
+from .string_oracles import jaro as scalar_jaro
+from .string_oracles import monge_elkan, qgrams_sim, token_measures
 
 WORDS = st.text(alphabet="abcdef ", min_size=0, max_size=18)
 
@@ -193,7 +197,7 @@ VALUES = st.one_of(
 @given(pairs=st.lists(st.tuples(VALUES, VALUES), min_size=1, max_size=6))
 @example(pairs=[("cheap cheap", "cheap"), ("aaaaaaa", "aaaa"), ("a", None), ("", "a")])
 @example(pairs=[("b a", "a"), ("a", "a"), ("b a", "a"), ("a", "b a")])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_count_measures_and_monge_elkan_equal_oracles(pairs):
     """q-grams and the eight token measures equal the per-pair Counter
     oracles, and a pair list that is no cross product (any order,
@@ -224,3 +228,51 @@ def test_edges_rows_are_the_flattened_cross_product():
             wide.loc[k, SCHEMA_BASED_MEASURES].to_numpy(np.float64),
             schema_based_batch([a], [b]).iloc[0].to_numpy(np.float64),
         )
+
+
+# Values of 0-40 characters: many short tokens, or one or two tokens of up
+# to 34 characters, so that lengths cross _MAX_LEN.
+BATCH_VALUES = st.one_of(
+    st.lists(st.text(alphabet="abcd", min_size=1, max_size=4), max_size=10),
+    st.lists(st.text(alphabet="abcd", min_size=1, max_size=34), max_size=2),
+).map(lambda toks: normalize(" ".join(toks)[:40]))
+SIDE = st.one_of(
+    st.lists(BATCH_VALUES, min_size=1, max_size=6),
+    st.lists(st.just(""), min_size=1, max_size=3),  # every value empty
+)
+LONG, MANY = "abcdabcdabcdabcdabcdabcdabcdabcdab", "a b c d a b c d a"
+
+
+def _expected(a: str, b: str) -> dict[str, float]:
+    """The scalar references on the characters the kernel reads; 0 for
+    two empty values."""
+    a, b = a[:_MAX_LEN], b[:_MAX_LEN]
+    ml = max(len(a), len(b), 1)
+    sims = {
+        "levenshtein": 1 - ref_levenshtein(a, b) / ml,
+        "damerau": 1 - ref_osa(a, b) / ml,
+        "needleman_wunsch": min(max(1 + ref_nw(a, b) / (2 * ml), 0.0), 1.0),
+        "lcs_seq": ref_lcs_seq(a, b) / ml,
+        "lcs_str": ref_lcs_str(a, b) / ml,
+    }
+    return sims if a or b else dict.fromkeys(sims, 0.0)
+
+
+@given(side1=SIDE, side2=SIDE)
+@example(side1=[LONG, MANY, "ab", ""], side2=["", "", ""])
+@example(side1=["", ""], side2=[LONG[:29], LONG[:30], LONG[:31], LONG + " " + MANY[:5]])
+@example(side1=[MANY, LONG + " a"], side2=[MANY[::-1], "dcba" * 10])
+@settings(max_examples=60, deadline=None)
+def test_batched_edit_jaro_and_monge_elkan_equal_scalar_references(side1, side2):
+    """Over batches that mix value lengths across _MAX_LEN, the five DP
+    columns equal the scalar DPs above, and Jaro and Monge-Elkan equal
+    the frozen scalar oracles bit for bit."""
+    wide = schema_based_edges(
+        *(pd.DataFrame({"id": np.arange(len(s)), "text": s}) for s in (side1, side2))
+    )
+    for k, (a, b) in enumerate(product(side1, side2)):
+        row = wide.iloc[k]
+        for m, want in _expected(a, b).items():
+            assert row[m] == pytest.approx(want, rel=0, abs=1e-6), (m, a, b)
+        assert row["jaro"] == scalar_jaro(a[:_MAX_LEN], b[:_MAX_LEN]), (a, b)
+        assert row["tok_monge_elkan"] == monge_elkan(tokens(a), tokens(b)), (a, b)
