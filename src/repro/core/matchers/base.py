@@ -23,9 +23,9 @@ reads (those above ``t``; RCA's, above 0), and CNC and BAH, which need
 no order, only filter them.
 
 These kernels are exact implementations of the paper's Algorithms 1-8
-and run either on the driver (threshold sweeps) or inside Spark tasks
-(``core.spark_match`` applies them to the whole edge list in one
-``mapInPandas`` task).
+and run either inside Spark tasks (the threshold sweep of
+``experiments.runner``) or on the driver (``core.spark_match`` applies
+them to a request's whole edge list, collected as one Arrow table).
 """
 from __future__ import annotations
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 
-from .vocab import vocab
+from .vocab import pick, vocab
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,14 @@ def _base_entity(domain: str, rng: np.random.Generator) -> dict:
     v = vocab()
     if domain == "restaurant":
         return {
-            "name": f"{rng.choice(v.adjectives).capitalize()} {rng.choice(v.nouns)}",
+            "name": f"{pick(rng, v.adjectives).capitalize()} {pick(rng, v.nouns)}",
             "phone": "".join(str(d) for d in rng.integers(0, 10, 10)),
-            "address": f"{rng.integers(1, 999)} {rng.choice(v.nouns)} st {rng.choice(v.cities)}",
-            "cuisine": str(rng.choice(v.cuisines)),
+            "address": f"{rng.integers(1, 999)} {pick(rng, v.nouns)} st {pick(rng, v.cities)}",
+            "cuisine": pick(rng, v.cuisines),
         }
     if domain == "product":
-        brand = str(rng.choice(v.brands))
-        model = f"{rng.choice(list('ABCDEFX'))}{rng.integers(100, 9999)}"
+        brand = pick(rng, v.brands)
+        model = f"{pick(rng, 'ABCDEFX')}{rng.integers(100, 9999)}"
         return {
             "title": f"{brand} {model} {v.phrase(rng, int(rng.integers(2, 5)))}",
             "brand": brand,
@@ -73,7 +73,7 @@ def _base_entity(domain: str, rng: np.random.Generator) -> dict:
         return {
             "title": v.phrase(rng, int(rng.integers(4, 9))),
             "authors": authors,
-            "venue": str(rng.choice(v.venues)),
+            "venue": pick(rng, v.venues),
             "year": str(rng.integers(1985, 2021)),
         }
     if domain == "movie":
@@ -82,7 +82,7 @@ def _base_entity(domain: str, rng: np.random.Generator) -> dict:
             "name": v.person(rng),
             "year": str(rng.integers(1950, 2021)),
             "actors": ", ".join(v.person(rng) for _ in range(int(rng.integers(1, 4)))),
-            "language": str(rng.choice(v.languages)),
+            "language": pick(rng, v.languages),
         }
     raise ValueError(f"unknown domain {domain!r}")
 

@@ -20,9 +20,15 @@ _SYLLABLES = [
 ]
 
 
+def pick(rng: np.random.Generator, seq):
+    """``rng.choice(seq)`` by index: the same draw and generator state,
+    without converting ``seq`` to an array on every call (2 µs, not 90)."""
+    return seq[rng.integers(0, len(seq))]
+
+
 def _word(rng: np.random.Generator, min_syl: int = 2, max_syl: int = 4) -> str:
     k = int(rng.integers(min_syl, max_syl + 1))
-    return "".join(rng.choice(_SYLLABLES) for _ in range(k))
+    return "".join(pick(rng, _SYLLABLES) for _ in range(k))
 
 
 def _pool(rng: np.random.Generator, n: int, **kw) -> list[str]:
@@ -54,13 +60,13 @@ class Vocab:
         self.languages = [w.capitalize() for w in _pool(rng, 15)]
 
     def person(self, rng: np.random.Generator) -> str:
-        return f"{rng.choice(self.first_names)} {rng.choice(self.last_names)}"
+        return f"{pick(rng, self.first_names)} {pick(rng, self.last_names)}"
 
     def phrase(self, rng: np.random.Generator, n_words: int) -> str:
         words = []
         for _ in range(n_words):
             pool = self.adjectives if rng.random() < 0.35 else self.nouns
-            words.append(str(rng.choice(pool)))
+            words.append(pick(rng, pool))
         return " ".join(words)
 
 

@@ -1,4 +1,5 @@
-"""The distributed matching transformation, and the ``*_native`` serve
+"""The request path (``match_edges``: the edges collected as one Arrow
+table, the reference matcher in the driver), and the ``*_native`` serve
 variant names that call it, vs the reference matchers."""
 import numpy as np
 import pandas as pd
@@ -27,6 +28,12 @@ def random_graph(seed: int, n_left=25, n_right=20, m=120):
     # distinct weights -> deterministic, order-free equivalences
     w = rng.permutation(len(v1)).astype(np.float64) / len(v1) * 0.98 + 0.01
     return v1, v2, w
+
+
+def tied_graph(seed: int):
+    """``random_graph`` with its weights rounded to quarters: many ties."""
+    v1, v2, w = random_graph(seed)
+    return v1, v2, np.ceil(w * 4) / 4
 
 
 def chain_graph(n_left: int):
@@ -218,6 +225,74 @@ def test_match_edges_equals_reference_on_chains_and_blocks(spark, g):
         expected = {(int(a), int(b)) for a, b in ALGORITHMS[algo](v1, v2, w, t, **kw)}
         got = collect_pairs(match_edges(df, algo, t, **kw))
         assert got == expected, f"{algo}, t={t}"
+
+
+@pytest.mark.parametrize("algo", ALGORITHM_ORDER)
+def test_matchers_accept_read_only_inputs_and_leave_them_unchanged(algo):
+    """A single-chunk Arrow column's ``to_numpy()`` is read-only, and
+    ``match_edges`` hands it to the matcher as it is."""
+    for graph in (random_graph(11), tied_graph(12), chain_graph(30)):
+        for t in (0.05, 0.3, 0.75):
+            expected = ALGORITHMS[algo](*(a.copy() for a in graph), t)
+            frozen = [a.copy() for a in graph]
+            for a in frozen:
+                a.flags.writeable = False
+            got = ALGORITHMS[algo](*frozen, t)
+            np.testing.assert_array_equal(got, expected)
+            for a, b in zip(frozen, graph):
+                np.testing.assert_array_equal(a, b)
+
+
+def test_match_edges_on_filtered_multi_file_parquet(spark, tmp_path):
+    """A parquet scan of several files under a filter is collected in
+    several Arrow chunks; all 8 algorithms equal the reference matcher
+    on the rows that the filter keeps."""
+    path = str(tmp_path / "edges")
+    to_df(spark, *tied_graph(13)).repartition(3).write.parquet(path)
+    edges = spark.read.parquet(path).where("w > 0.2")
+    assert edges.rdd.getNumPartitions() > 1
+    pdf = edges.toPandas()
+    v1, v2, w = (pdf[c].to_numpy() for c in ("v1", "v2", "w"))
+    for algo in ALGORITHM_ORDER:
+        expected = {(int(a), int(b)) for a, b in ALGORITHMS[algo](v1, v2, w, 0.3)}
+        assert collect_pairs(match_edges(edges, algo, 0.3)) == expected, algo
+
+
+def test_match_edges_zero_rows(spark):
+    empty = spark.createDataFrame([], "v1 long, v2 long, w double")
+    got = match_edges(empty, "UMC", 0.3)
+    assert got.dtypes == [("v1", "bigint"), ("v2", "bigint")]
+    assert got.collect() == []
+
+
+def test_match_edges_reads_columns_by_name(spark):
+    """Extra columns are dropped and a reordered frame is read by name."""
+    v1, v2, w = random_graph(14)
+    expected = {(int(a), int(b)) for a, b in ALGORITHMS["UMC"](v1, v2, w, 0.3)}
+    df = to_df(spark, v1, v2, w)
+    extra = df.selectExpr("v1", "'x' AS label", "v2", "w", "v1 + v2 AS s")
+    for frame in (extra, df.select("w", "v2", "v1")):
+        assert collect_pairs(match_edges(frame, "UMC", 0.3)) == expected, frame.columns
+
+
+def test_match_edges_runs_one_job_and_returns_a_local_relation(spark):
+    """The call itself collects the edges (one job); the result is a local
+    relation, so collecting it runs none."""
+    sc = spark.sparkContext
+    df = to_df(spark, *random_graph(15))
+
+    def jobs(group, action):
+        sc.setJobGroup(group, group)
+        try:
+            value = action()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        return value, len(sc.statusTracker().getJobIdsForGroup(group))
+
+    result, call_jobs = jobs("match_edges-call", lambda: match_edges(df, "UMC", 0.3))
+    rows, collect_jobs = jobs("match_edges-collect", result.collect)
+    assert (call_jobs, result.isLocal(), collect_jobs) == (1, True, 0)
+    assert len(rows) > 0
 
 
 def test_match_edges_empty_result(spark):
