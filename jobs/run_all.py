@@ -41,7 +41,7 @@ if __name__ == "__main__":
         )
     print_table("Table 5", table5(clean_results))
     print_table("Table 6", table6(clean_results))
-    print_table("Table 7", table7(manifest, run_dir))
+    print_table("Table 7", table7(manifest, results, run_dir))
     print_table("Table 8", table8(clean_results))
     print_table("Table 9", table9(clean_results))
     spark.stop()

@@ -7,5 +7,5 @@ from repro.experiments.tables import table7
 if __name__ == "__main__":
     main_table(
         "Table 7: comparison with matching baselines",
-        lambda manifest, run_dir, **kw: table7(manifest, run_dir),
+        lambda manifest, results, run_dir, **kw: table7(manifest, results, run_dir),
     )

@@ -78,6 +78,25 @@ class UnionFind:
                 self.parent[ra] = rb
 
 
+class PairKeys:
+    """One int64 key per ``(a, b)`` pair, ordered like the pairs.
+
+    Valid for every ``b`` within the range of the ``b`` the keys are
+    built from; ids may be negative.
+    """
+
+    def __init__(self, b: np.ndarray):
+        self.lo = int(b.min(initial=0))
+        self.span = int(b.max(initial=0)) - self.lo + 1
+
+    def encode(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a * self.span + (b - self.lo)
+
+    def decode(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, b = np.divmod(keys, self.span)
+        return a, b + self.lo
+
+
 def compact_ids(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Map arbitrary int64 ids to 0..k-1. Returns (compacted, uniques)."""
     uniques, inv = np.unique(ids, return_inverse=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import EMPTY_PAIRS, PreparedGraph, edges_above
+from .base import EMPTY_PAIRS, PairKeys, PreparedGraph, edges_above
 
 
 def _once(x: np.ndarray) -> np.ndarray:
@@ -28,11 +28,10 @@ def cnc(v1, v2, w, t: float, *, graph: PreparedGraph | None = None) -> np.ndarra
     a, b, _ = edges_above(v1, v2, w, t, graph, closed=True)
     if not len(a):
         return EMPTY_PAIRS
-    lo = min(b.min(), 0)
-    span = b.max() - lo + 1  # (a, b) -> one int64 key
+    keys = PairKeys(b)
     # the distinct edges, sorted by (a, b); a repeated edge counts once
-    a, b = np.divmod(np.unique(a * span + (b - lo)), span)
+    a, b = keys.decode(np.unique(keys.encode(a, b)))
     alone = _once(a)
     by_b = np.argsort(b, kind="stable")
     alone[by_b] &= _once(b[by_b])
-    return np.column_stack((a[alone], b[alone] + lo))
+    return np.column_stack((a[alone], b[alone]))

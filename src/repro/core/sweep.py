@@ -31,7 +31,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .matchers import ALGORITHM_ORDER, ALGORITHMS
-from .matchers.base import PreparedGraph, as_edge_arrays
+from .matchers.base import PairKeys, PreparedGraph, as_edge_arrays
 from .metrics import prf_from_arrays
 
 #: The paper's threshold grid: 0.05 .. 1.00, step 0.05.
@@ -42,22 +42,18 @@ def _best_over_thresholds(
     run: Callable[[float], np.ndarray],
     truth: set[tuple[int, int]],
     thresholds: list[float],
-    w_sorted: np.ndarray,
+    graph: PreparedGraph,
 ) -> tuple[float, object]:
     """Largest threshold achieving the max F1 (paper's selection rule).
 
     ``thresholds`` must be ascending: ties are resolved toward larger t.
-    ``w_sorted`` holds the graph's weights, ascending: a threshold with
-    none of them in [previous t, t] keeps the previous one's edges, both
-    those > t and those >= t, and so its P/R/F1.
+    A threshold with none of ``graph``'s weights in [previous t, t] keeps
+    the previous one's edges, both those > t and those >= t, and so its
+    P/R/F1.
     """
-    grid = np.asarray(thresholds)
-    lo = np.searchsorted(w_sorted, grid[:-1], side="left")
-    hi = np.searchsorted(w_sorted, grid[1:], side="right")
-    fresh = [True] + (hi > lo).tolist()
     best_t, best, prf = None, None, None
-    for t, changed in zip(thresholds, fresh):
-        if changed:
+    for prev, t in zip([None, *thresholds], thresholds):
+        if prev is None or graph.n_above(prev, closed=True) > graph.n_above(t):
             prf = prf_from_arrays(run(t), truth)
         if best is None or prf.f1 >= best.f1:
             best_t, best = t, prf
@@ -77,8 +73,10 @@ def _nested_over_thresholds(
     The chosen edges keep ``graph``'s weight-desc order, so the pairs
     at t are a prefix of them.
     """
-    span = int(graph.v2.max(initial=0)) + 1  # (v1, v2) -> one int64 key
-    chosen = np.isin(graph.v1 * span + graph.v2, pairs[:, 0] * span + pairs[:, 1])
+    keys = PairKeys(graph.v2)
+    chosen = np.isin(
+        keys.encode(graph.v1, graph.v2), keys.encode(pairs[:, 0], pairs[:, 1])
+    )
     ab = np.column_stack((graph.v1[chosen], graph.v2[chosen]))
     neg_w = -graph.w[chosen]  # ascending
     side = "right" if closed else "left"
@@ -107,10 +105,9 @@ def sweep_graph(
     if not thresholds:
         raise ValueError("sweep_graph needs at least one threshold; the grid is empty")
     graph = PreparedGraph(v1, v2, w)
-    w_sorted = graph.w[::-1].copy()  # ascending; contiguous, so searchsorted copies nothing
 
     def best_of(run):
-        return _best_over_thresholds(run, truth, thresholds, w_sorted)
+        return _best_over_thresholds(run, truth, thresholds, graph)
 
     rows = []
     for algo in algorithms:

@@ -12,7 +12,6 @@ import pandas as pd
 
 from ..analysis.stats import friedman_nemenyi
 from ..core.matchers import ALGORITHM_ORDER
-from ..core.sweep import THRESHOLDS, sweep_graph
 from ..datasets.generator import generate_pandas, profile_stats
 from ..datasets.registry import DATASET_ORDER, SPECS
 from .baselines import ditto_lite, zeroer_lite
@@ -178,6 +177,7 @@ PAPER_TABLE7 = {
 
 def table7(
     manifest: pd.DataFrame,
+    results: pd.DataFrame,
     out_dir: str,
     datasets: tuple[str, ...] = ("D2", "D3", "D4", "D5"),
 ) -> pd.DataFrame:
@@ -185,12 +185,14 @@ def table7(
 
     Per the paper: UMC over cosine similarity with TF-IDF weights on
     schema-agnostic vector models; the representation model and the
-    threshold are chosen per dataset (best over the vector models).
-    The baselines classify the same graphs' pairs without the 1-1
-    constraint.
+    threshold are chosen per dataset (best over the vector models). The
+    UMC rows are the sweep's own (``results``, before cleaning); the first
+    graph in manifest order with the highest F1 is chosen. The baselines
+    classify that graph's pairs without the 1-1 constraint.
     """
     import os
 
+    umc = results[results["algorithm"] == "UMC"].set_index("graph_id")
     rows = []
     for ds in datasets:
         gt = pd.read_parquet(os.path.join(out_dir, f"{ds}__gt.parquet"))
@@ -201,21 +203,10 @@ def table7(
             & (manifest["model"].str.startswith("vector-"))
             & (manifest["measure"] == "cosine_tfidf")
         ]
-        best = None
-        for _, g in cands.iterrows():
-            edges = pd.read_parquet(g["path"])
-            res = sweep_graph(
-                edges["v1"].to_numpy(),
-                edges["v2"].to_numpy(),
-                edges["w"].to_numpy(),
-                truth,
-                algorithms=["UMC"],
-                thresholds=THRESHOLDS,
-                timing_reps=1,
-            )[0]
-            if best is None or res["f1"] > best[0]["f1"]:
-                best = (res, g, edges)
-        res, g, edges = best
+        swept = umc.loc[cands["graph_id"]]
+        best = int(np.argmax(swept["f1"].to_numpy()))  # the first maximum
+        g, res = cands.iloc[best], swept.iloc[best]
+        edges = pd.read_parquet(g["path"])
         v1 = edges["v1"].to_numpy()
         v2 = edges["v2"].to_numpy()
         w = edges["w"].to_numpy()

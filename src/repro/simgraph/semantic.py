@@ -191,13 +191,12 @@ def semantic_edges(
     # Semantic scores are dense: euclid_sim and wms are positive for
     # every pair, so the support is the full Cartesian product (the
     # build step filters each measure's own graph to weights > 0).
-    i, j = np.nonzero(np.ones_like(cos, dtype=bool))
     return pd.DataFrame(
         {
-            "v1": ids1[i],
-            "v2": ids2[j],
-            "cosine": cos[i, j],
-            "euclid_sim": euc[i, j],
-            "wms": wms[i, j].astype(np.float64),
+            "v1": np.repeat(ids1, len(ids2)),
+            "v2": np.tile(ids2, len(ids1)),
+            "cosine": cos.ravel(),
+            "euclid_sim": euc.ravel(),
+            "wms": wms.ravel().astype(np.float64),
         }
     )

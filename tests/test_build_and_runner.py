@@ -1,4 +1,5 @@
 """Integration: graph factory + distributed sweep on a tiny dataset."""
+import dataclasses
 import json
 import os
 
@@ -7,8 +8,11 @@ import pandas as pd
 import pytest
 
 from repro.core.matchers import ALGORITHM_ORDER
+from repro.core.sweep import sweep_graph
 from repro.datasets.generator import DatasetSpec, generate_pandas
+from repro.experiments.baselines import ditto_lite, zeroer_lite
 from repro.experiments.runner import run_sweep
+from repro.experiments.tables import table7
 from repro.simgraph.build import FAMILIES, _emit, build_dataset_graphs, minmax
 from repro.simgraph.strings import SCHEMA_BASED_MEASURES, schema_based_batch
 
@@ -160,8 +164,6 @@ class TestRunSweep:
 
     def test_sweep_consistent_with_local(self, swept, built):
         """Every distributed (graph, algorithm) row equals a driver-side sweep."""
-        from repro.core.sweep import sweep_graph
-
         out, _ = built
         sub, results = swept
         gt = pd.read_parquet(os.path.join(out, "TT__gt.parquet"))
@@ -210,3 +212,38 @@ class TestRunSweep:
                 for sid in tracker.getJobInfo(jobs[0]).stageIds
             )
             assert tasks == min(sc.defaultParallelism, n_graphs), group
+
+
+def test_table7_reads_umc_rows_of_the_sweep(spark, tmp_path):
+    """Table 7 takes its UMC rows from ``run_sweep``'s results: the same
+    frame as sweeping each TF-IDF cosine vector graph again with UMC alone
+    and keeping the first graph with the highest F1."""
+    spec = dataclasses.replace(TINY, name="D2")  # a dataset Table 7 quotes
+    out = str(tmp_path)
+    manifest = build_dataset_graphs(spark, spec, out, ["sa_syn"])
+    results = run_sweep(spark, manifest, out, algorithms=["CNC", "UMC"], timing_reps=1)
+    got = table7(manifest, results, out, datasets=("D2",))
+
+    gt = pd.read_parquet(os.path.join(out, "D2__gt.parquet"))
+    truth = set(zip(gt["v1"].astype(int), gt["v2"].astype(int)))
+    cands = manifest[
+        manifest["model"].str.startswith("vector-")
+        & (manifest["measure"] == "cosine_tfidf")
+    ]
+    assert len(cands) > 1
+    best = None
+    for g in cands.itertuples():
+        edges = pd.read_parquet(g.path)
+        v1, v2, w = (edges[c].to_numpy() for c in ("v1", "v2", "w"))
+        res = sweep_graph(v1, v2, w, truth, algorithms=["UMC"], timing_reps=1)[0]
+        if best is None or res["f1"] > best["umc_f1"]:
+            best = {
+                "dataset": "D2",
+                "zeroer_lite_f1": zeroer_lite(v1, v2, w, truth).f1,
+                "ditto_lite_f1": ditto_lite(v1, v2, w, truth).f1,
+                "umc_f1": res["f1"],
+                "umc_model": g.model,
+                "umc_t": res["best_t"],
+            }
+    expected = pd.DataFrame([best])
+    pd.testing.assert_frame_equal(got[expected.columns], expected)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.components import connected_components, encode_global
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS
 from repro.core.matchers.base import UnionFind
 from repro.core.spark_match import cnc_native, exc_native, match_edges, umc_native
@@ -116,14 +117,16 @@ def test_d1_fixture_separates_per_component_rca(d1_cosine_tf):
 
 def test_match_edges_jobs_independent_of_graph_shape(spark):
     """A 10-node and an 80-node chain cost the same number of Spark jobs,
-    through ``match_edges`` and through each ``*_native`` name: no
-    per-round loop (such as label propagation) in the request path."""
+    through ``match_edges``, through each ``*_native`` name and through
+    ``connected_components``: no per-round loop (such as label
+    propagation) in the request path or in the component labels."""
     sc = spark.sparkContext
     calls = {
         "match_edges-UMC": lambda df: match_edges(df, "UMC", 0.1),
         "cnc_native": lambda df: cnc_native(df, 0.1),
         "exc_native": lambda df: exc_native(df, 0.1),
         "umc_native": lambda df: umc_native(df, 0.1),
+        "connected_components": lambda df: connected_components(encode_global(df)),
     }
     jobs = {}
     for name, call in calls.items():

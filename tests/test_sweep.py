@@ -134,9 +134,10 @@ def assert_row_is(row, best_t, best):
 def multi_component_graphs(draw, unique_grid=True):
     """Disjoint random blocks with weights drawn from the threshold grid,
     so that the ``> t`` and ``>= t`` boundaries are hit, and a random
-    ground truth; with ``unique_grid=False`` the grid may repeat values."""
+    ground truth; with ``unique_grid=False`` the grid may repeat values.
+    Each side's ids start at a drawn, possibly negative, id."""
     v1, v2, w = [], [], []
-    left = right = 0
+    left, right = draw(st.integers(-8, 4)), draw(st.integers(-8, 4))
     for _ in range(draw(st.integers(1, 5))):
         n_l, n_r = draw(st.integers(1, 5)), draw(st.integers(1, 5))
         cells = [(a, b) for a in range(n_l) for b in range(n_r)]
