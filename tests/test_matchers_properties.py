@@ -1,13 +1,18 @@
 """Hypothesis property tests: every matcher emits a valid 1-1 matching
 over existing edges; algorithm-specific invariants (UMC = sequential
 greedy, EXC subset of mutual-best, CNC isolated edges, RCA/BAH at
-least threshold-weight pairs; BAH equal to its numpy-scalar loop)."""
+least threshold-weight pairs); the relations between matchers (CNC in
+EXC in UMC, and EXC in KRC, at a threshold equal to no edge weight,
+with distinct or tied weights); and BAH equal to its numpy-scalar loop,
+over move budgets that reach several blocks and rejected-move windows,
+in early-stop cases, and whatever its move-list cache holds."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS, cnc, exc, umc
+from repro.core.matchers.bah import _cached_moves, _moves
 from repro.core.matchers.base import EMPTY_PAIRS, as_edge_arrays, compact_ids, pairs_array
 
 
@@ -135,6 +140,53 @@ def test_umc_is_maximal(g):
             assert int(a) in ml or int(b) in mr
 
 
+@st.composite
+def graphs_off_weights(draw):
+    """Random bipartite edge lists with distinct weights or weights tied
+    on quarter steps, and a threshold that equals no edge weight (a
+    half step between two multiples of 1/10,000), so that the edges
+    > t and >= t are the same."""
+    n_left = draw(st.integers(1, 12))
+    n_right = draw(st.integers(1, 12))
+    possible = [(a, b) for a in range(n_left) for b in range(n_right)]
+    edges = draw(
+        st.lists(st.sampled_from(possible), min_size=1, max_size=40, unique=True)
+    )
+    k = len(edges)
+    if draw(st.booleans()):
+        ws = draw(st.lists(st.integers(1, 10_000), min_size=k, max_size=k, unique=True))
+    else:
+        ws = draw(
+            st.lists(st.sampled_from([2_500, 5_000, 7_500, 10_000]), min_size=k, max_size=k)
+        )
+    v1 = np.array([a for a, _ in edges], dtype=np.int64)
+    v2 = np.array([b for _, b in edges], dtype=np.int64)
+    w = np.array(ws, dtype=np.float64) / 10_000.0
+    t = (draw(st.integers(0, 9_999)) + 0.5) / 10_000.0
+    return v1, v2, w, t
+
+
+def matched(algo, g) -> set[tuple[int, int]]:
+    return {(int(a), int(b)) for a, b in ALGORITHMS[algo](*g)}
+
+
+@given(g=graphs_off_weights())
+@settings(max_examples=200, deadline=None)
+def test_cnc_within_exc_within_umc(g):
+    """An isolated edge is a mutual best edge, and a mutual best edge
+    comes before every other edge at its two ends in the greedy order."""
+    assert g[3] not in set(g[2].tolist())
+    cnc_pairs, exc_pairs, umc_pairs = (matched(a, g) for a in ("CNC", "EXC", "UMC"))
+    assert cnc_pairs <= exc_pairs <= umc_pairs
+
+
+@given(g=graphs_off_weights())
+@settings(max_examples=200, deadline=None)
+def test_exc_within_krc(g):
+    assert g[3] not in set(g[2].tolist())
+    assert matched("EXC", g) <= matched("KRC", g)
+
+
 def bah_numpy_loop(v1, v2, w, t, *, max_moves=10_000, seed=42):
     """BAH's move loop over numpy scalars, kept verbatim as the oracle
     for the Python-scalar loop of ``matchers.bah``."""
@@ -186,14 +238,16 @@ def bah_numpy_loop(v1, v2, w, t, *, max_moves=10_000, seed=42):
 
 @st.composite
 def bah_inputs(draw):
-    """Graphs with sparse, non-contiguous ids on either side being the
-    larger one; all-equal, few-level tied or distinct weights; t from
-    the grid or equal to an edge weight; any move budget and seed."""
-    left = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
-    right = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=12, unique=True))
+    """Graphs of up to 40 nodes a side with sparse, non-contiguous ids,
+    either side being the larger one; all-equal, few-level tied or
+    distinct weights; t from the grid or equal to an edge weight; any
+    move budget up to the default 10,000 (several blocks and windows of
+    the move loop) and any seed."""
+    left = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
+    right = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=40, unique=True))
     possible = [(a, b) for a in left for b in right]
     edges = draw(
-        st.lists(st.sampled_from(possible), min_size=1, max_size=60, unique=True)
+        st.lists(st.sampled_from(possible), min_size=1, max_size=160, unique=True)
     )
     k = len(edges)
     kind = draw(st.sampled_from(["equal", "levels", "distinct"]))
@@ -211,17 +265,96 @@ def bah_inputs(draw):
     t = draw(st.one_of(st.sampled_from([0.0, 0.05, 0.5, 0.95]), st.sampled_from(ws)))
     v1 = np.array([a for a, _ in edges], dtype=np.int64)
     v2 = np.array([b for _, b in edges], dtype=np.int64)
-    moves = draw(st.integers(0, 3_000))
+    moves = draw(st.one_of(st.integers(0, 3_000), st.integers(0, 10_000)))
     seed = draw(st.integers(0, 2**32 - 1))
     return v1, v2, np.array(ws, dtype=np.float64), t, moves, seed
+
+
+def assert_bah_equals_oracle(v1, v2, w, t, moves, seed):
+    got = ALGORITHMS["BAH"](v1, v2, w, t, max_moves=moves, seed=seed)
+    want = bah_numpy_loop(v1, v2, w, t, max_moves=moves, seed=seed)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    return got
 
 
 @given(g=bah_inputs())
 @settings(max_examples=150, deadline=None)
 def test_bah_equals_numpy_scalar_loop(g):
-    """The Python-scalar move loop is bit-identical to the numpy one."""
-    v1, v2, w, t, moves, seed = g
-    got = ALGORITHMS["BAH"](v1, v2, w, t, max_moves=moves, seed=seed)
-    want = bah_numpy_loop(v1, v2, w, t, max_moves=moves, seed=seed)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    """The block loop with its rejected-move skip is bit-identical to
+    the numpy one."""
+    assert_bah_equals_oracle(*g)
+
+
+def _perfect(n, perm, seed=0):
+    """n disjoint edges (i, perm[i]) with distinct weights."""
+    w = np.random.default_rng(seed).permutation(n) / n + 0.5 / n
+    return np.arange(n, dtype=np.int64), np.asarray(perm, dtype=np.int64), w
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        # the initial assignment is already the perfect matching: every
+        # move is rejected, so the first block's skip ends the search
+        ("identity", *_perfect(30, np.arange(30)), 0.0, 10_000, 42),
+        # a shuffled perfect matching: swaps until no move passes
+        ("shuffled", *_perfect(30, np.random.default_rng(1).permutation(30)), 0.0, 10_000, 7),
+        ("shuffled, t cuts", *_perfect(25, np.random.default_rng(2).permutation(25)), 0.5, 10_000, 3),
+        # one node on the larger side: no move is possible
+        ("one edge", np.array([5]), np.array([9]), np.array([0.7]), 0.5, 10_000, 42),
+        # no move budget: the initial assignment
+        ("no moves", *_perfect(12, np.random.default_rng(3).permutation(12)), 0.0, 0, 42),
+        # tied weights: after a block that accepted nothing, the first
+        # move that passes is a neutral swap (gain exactly 0)
+        (
+            "neutral swap after a rejected block",
+            np.array([0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1]),
+            np.array([0, 1, 3, 4, 5, 6, 8, 0, 1, 2, 5, 7]),
+            np.array([1, 4, 1, 4, 2, 3, 1, 2, 4, 4, 1, 2]) / 4.0,
+            0.0,
+            10_000,
+            2,
+        ),
+    ],
+    ids=lambda c: c[0],
+)
+def test_bah_early_stops_equal_numpy_scalar_loop(case):
+    _, v1, v2, w, t, moves, seed = case
+    got = assert_bah_equals_oracle(v1, v2, w, t, moves, seed)
+    if case[0] == "identity":
+        assert np.array_equal(got, np.column_stack((v1, v2)))
+    if case[0] == "one edge":
+        assert got.tolist() == [[5, 9]]
+
+
+def test_bah_does_not_depend_on_its_move_cache():
+    """Calls of different sizes and seeds, interleaved, give the
+    oracle's pairs whether their move lists are cached, evicted or
+    drawn fresh; the cached lists are read-only."""
+    rng = np.random.default_rng(11)
+    calls = []
+    for n1, n2, seed, moves in [
+        (6, 6, 42, 10_000), (40, 12, 42, 10_000), (3, 30, 5, 2_000),
+        (6, 6, 5, 10_000), (40, 12, 7, 700), (6, 6, 42, 300),
+    ]:
+        keep = rng.random((n1, n2)) < 0.4
+        v1, v2 = np.nonzero(keep)
+        calls.append((v1, v2, rng.random(len(v1)), 0.2, moves, seed))
+    _cached_moves.cache_clear()
+    for call in calls + calls[::-1]:
+        assert_bah_equals_oracle(*call)
+    for n in range(2, 2 + _cached_moves.cache_info().maxsize):  # evict them all
+        _moves(n, 10, 0)
+    for call in calls:
+        assert_bah_equals_oracle(*call)
+
+    ii, jj = _moves(12, 500, 3)
+    assert _moves(12, 500, 3)[0] is ii
+    for a in (ii, jj):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # a seed that is not a plain int is drawn fresh, to the same list
+    fresh, _ = _moves(12, 500, np.int64(3))
+    assert fresh is not ii and np.array_equal(fresh, ii)
