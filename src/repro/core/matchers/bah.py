@@ -34,17 +34,11 @@ numpy matrix computes, with far fewer Python steps:
   passing one is a no-op the loop would have run. Small graphs make
   their last swap early, and a graph with one node on the larger side
   has an empty move list.
-- **Draws made once.** The move list, the random (i, j) pairs with
-  i != j, is a pure function of (larger side's node count,
-  ``max_moves``, ``seed``). For an ``int`` seed it is drawn once per
-  process and kept read-only in a bounded cache (32 lists, 160 KB each
-  at 10,000 moves): the sweep's thresholds that keep the same nodes,
-  and the timed calls at t* after them, share one draw. Any other seed
-  (a ``Generator``, a ``SeedSequence``) is drawn anew on every call.
+
+Each call draws its own move list from ``seed`` and keeps nothing
+between calls, so a timed call costs what a first call costs.
 """
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -54,27 +48,6 @@ from .base import EMPTY_PAIRS, PreparedGraph, compact_ids, edges_above, pairs_ar
 _BLOCK = 256
 #: Moves tested per numpy pass while skipping rejected moves.
 _WINDOW = 2_048
-
-
-def _draw_moves(n_big: int, max_moves: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """The move list: ``max_moves`` random (i, j) draws, i == j dropped."""
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n_big, size=(max_moves, 2))
-    idx = idx[idx[:, 0] != idx[:, 1]]  # i == j: a swap changes nothing
-    ii, jj = idx[:, 0].copy(), idx[:, 1].copy()
-    ii.flags.writeable = jj.flags.writeable = False  # shared by every caller
-    return ii, jj
-
-
-_cached_moves = lru_cache(maxsize=32)(_draw_moves)
-
-
-def _moves(n_big: int, max_moves: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    # Only plain ints key the cache: a Generator or SeedSequence has
-    # state, and a bool or float would share an int's cache entry.
-    if type(seed) is int and type(max_moves) is int:
-        return _cached_moves(n_big, max_moves, seed)
-    return _draw_moves(n_big, max_moves, seed)
 
 
 def _first_accepted(d, partner, held, ii, jj, start: int) -> int:
@@ -129,7 +102,10 @@ def bah(
     partner = list(range(n_small)) + [n_small] * (n_big - n_small)
     held = [row[p] for row, p in zip(rows, partner)]  # d(i, partner[i])
 
-    ii, jj = _moves(n_big, max_moves, seed)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, n_big, size=(max_moves, 2))
+    idx = idx[idx[:, 0] != idx[:, 1]]  # i == j: a swap changes nothing
+    ii, jj = idx.T
     pos, n_moves = 0, len(ii)
     while pos < n_moves:
         end = pos + _BLOCK

@@ -22,7 +22,6 @@ import json
 import os
 
 import pandas as pd
-import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from ..core.matchers import ALGORITHM_ORDER
@@ -70,12 +69,6 @@ def _lpt_bins(graphs: list[tuple], sizes: list[int], n_bins: int) -> list[list]:
     return bins
 
 
-def _read_columns(path: str, columns: list[str]) -> list:
-    """The named columns of a parquet file, as numpy arrays."""
-    table = pq.read_table(path, columns=columns)
-    return [table.column(c).to_numpy() for c in columns]
-
-
 def run_sweep(
     spark: SparkSession,
     manifest: pd.DataFrame,
@@ -100,13 +93,13 @@ def run_sweep(
         truths = {}
         for graph_id, path, gt_path in graphs_in_bin:
             if gt_path not in truths:
-                g1, g2 = _read_columns(gt_path, ["v1", "v2"])
-                truths[gt_path] = set(zip(g1.tolist(), g2.tolist()))
-            v1, v2, w = _read_columns(path, ["v1", "v2", "w"])
+                gt = pd.read_parquet(gt_path)
+                truths[gt_path] = set(zip(gt["v1"].astype(int), gt["v2"].astype(int)))
+            edges = pd.read_parquet(path)
             for r in sweep_graph(
-                v1,
-                v2,
-                w,
+                edges["v1"].to_numpy(),
+                edges["v2"].to_numpy(),
+                edges["w"].to_numpy(),
                 truths[gt_path],
                 algorithms=algos,
                 thresholds=grid,

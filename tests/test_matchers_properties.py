@@ -5,14 +5,13 @@ least threshold-weight pairs); the relations between matchers (CNC in
 EXC in UMC, and EXC in KRC, at a threshold equal to no edge weight,
 with distinct or tied weights); and BAH equal to its numpy-scalar loop,
 over move budgets that reach several blocks and rejected-move windows,
-in early-stop cases, and whatever its move-list cache holds."""
+and in early-stop cases."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matchers import ALGORITHM_ORDER, ALGORITHMS, cnc, exc, umc
-from repro.core.matchers.bah import _cached_moves, _moves
 from repro.core.matchers.base import EMPTY_PAIRS, as_edge_arrays, compact_ids, pairs_array
 
 
@@ -326,35 +325,3 @@ def test_bah_early_stops_equal_numpy_scalar_loop(case):
         assert np.array_equal(got, np.column_stack((v1, v2)))
     if case[0] == "one edge":
         assert got.tolist() == [[5, 9]]
-
-
-def test_bah_does_not_depend_on_its_move_cache():
-    """Calls of different sizes and seeds, interleaved, give the
-    oracle's pairs whether their move lists are cached, evicted or
-    drawn fresh; the cached lists are read-only."""
-    rng = np.random.default_rng(11)
-    calls = []
-    for n1, n2, seed, moves in [
-        (6, 6, 42, 10_000), (40, 12, 42, 10_000), (3, 30, 5, 2_000),
-        (6, 6, 5, 10_000), (40, 12, 7, 700), (6, 6, 42, 300),
-    ]:
-        keep = rng.random((n1, n2)) < 0.4
-        v1, v2 = np.nonzero(keep)
-        calls.append((v1, v2, rng.random(len(v1)), 0.2, moves, seed))
-    _cached_moves.cache_clear()
-    for call in calls + calls[::-1]:
-        assert_bah_equals_oracle(*call)
-    for n in range(2, 2 + _cached_moves.cache_info().maxsize):  # evict them all
-        _moves(n, 10, 0)
-    for call in calls:
-        assert_bah_equals_oracle(*call)
-
-    ii, jj = _moves(12, 500, 3)
-    assert _moves(12, 500, 3)[0] is ii
-    for a in (ii, jj):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
-    # a seed that is not a plain int is drawn fresh, to the same list
-    fresh, _ = _moves(12, 500, np.int64(3))
-    assert fresh is not ii and np.array_equal(fresh, ii)
