@@ -3,10 +3,13 @@ measure) combination of DESIGN.md applied to one dataset analogue.
 
 The output mirrors the paper's generation process (Sec. 5): no
 blocking — every pair with raw similarity > 0 becomes an edge — and
-min-max normalisation of each graph's weights to [0, 1]. Graphs are
-written as parquet edge lists plus a manifest row per graph carrying
-the provenance needed by the tables (dataset, weight-type family,
-model, measure, edge count, ground-truth coverage).
+min-max normalisation of each graph's weights to [0, 1], computed on
+the measure's numpy column. Each graph is written as a parquet edge list
+(``v1``, ``v2``, ``w``; pyarrow ``write_table`` from the three arrays, no
+pandas index metadata) plus a manifest row carrying the provenance
+needed by the tables (dataset, weight-type family, model, measure, edge
+count, ground-truth coverage). A call builds only the texts its families
+read: the schema-agnostic ones for ``sa_*``, the attribute's for ``sb_*``.
 
 Weight-type families (paper Figure 6):
   sb_syn — schema-based syntactic  (char- and token-level measures)
@@ -21,6 +24,8 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.parquet as pq
 from pyspark.sql import SparkSession
 
 from ..datasets.generator import DatasetSpec, generate_pandas
@@ -35,7 +40,7 @@ FAMILIES = ["sb_syn", "sa_syn", "sb_sem", "sa_sem"]
 
 def _texts_schema_agnostic(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame(
-        {"id": df["id"], "text": [entity_text(r) for _, r in df.iterrows()]}
+        {"id": df["id"], "text": [entity_text(r) for r in df.to_dict("records")]}
     )
 
 
@@ -43,22 +48,29 @@ def _texts_attribute(df: pd.DataFrame, attr: str) -> pd.DataFrame:
     return pd.DataFrame({"id": df["id"], "text": [normalize(v) for v in df[attr]]})
 
 
+def _normalised(v1: np.ndarray, v2: np.ndarray, w: np.ndarray) -> pd.DataFrame:
+    """The edges with ``w > 0``, ``w`` min-max normalised to [0, 1]; all
+    equal weights become 1.0 (float64), an empty graph keeps ``w``'s dtype."""
+    keep = w > 0
+    v1, v2, w = v1[keep], v2[keep], w[keep]
+    if len(w):
+        lo, hi = w.min(), w.max()
+        w = np.ones(len(w)) if hi <= lo else (w - lo) / (hi - lo)
+    return pd.DataFrame({"v1": v1, "v2": v2, "w": w})
+
+
 def minmax(raw: pd.DataFrame) -> pd.DataFrame:
     """Keep edges with raw weight > 0, min-max normalise to [0, 1]."""
-    out = raw[raw["w"] > 0][["v1", "v2", "w"]].copy()
-    if out.empty:
-        return out
-    lo, hi = out["w"].min(), out["w"].max()
-    out["w"] = 1.0 if hi <= lo else (out["w"] - lo) / (hi - lo)
-    return out.reset_index(drop=True)
+    return _normalised(*(raw[c].to_numpy() for c in ("v1", "v2", "w")))
 
 
 def _emit(
     wide: pd.DataFrame, measures: list[str]
 ) -> Iterator[tuple[str, pd.DataFrame]]:
     """Split a wide (v1, v2, m1..mk) frame into per-measure edge lists."""
+    v1, v2 = wide["v1"].to_numpy(), wide["v2"].to_numpy()
     for m in measures:
-        yield m, minmax(wide[["v1", "v2", m]].rename(columns={m: "w"}))
+        yield m, _normalised(v1, v2, wide[m].to_numpy())
 
 
 def _per_side1(spark: SparkSession, side1: pd.DataFrame, score) -> pd.DataFrame:
@@ -121,31 +133,35 @@ def build_dataset_graphs(
     gt_keys = np.unique(
         gt["v1"].to_numpy(np.int64) * span + gt["v2"].to_numpy(np.int64)
     )
-    sa1, sa2 = _texts_schema_agnostic(df1), _texts_schema_agnostic(df2)
     attr = spec.primary_attribute
-    sb1, sb2 = _texts_attribute(df1, attr), _texts_attribute(df2, attr)
+    sa = sb = None  # (side 1, side 2) texts, only for the families that read them
+    if {"sa_syn", "sa_sem"} & set(families):
+        sa = _texts_schema_agnostic(df1), _texts_schema_agnostic(df2)
+    if {"sb_syn", "sb_sem"} & set(families):
+        sb = _texts_attribute(df1, attr), _texts_attribute(df2, attr)
 
     produced: list[tuple[str, str, str, pd.DataFrame]] = []
 
     if "sa_syn" in families:
         for kind, n in VECTOR_MODELS:
-            wide = dense_vector_edges(sa1, sa2, kind, n)
+            wide = dense_vector_edges(*sa, kind, n)
             for measure, edges in _emit(wide, VECTOR_MEASURES):
                 produced.append(("sa_syn", f"vector-{kind}{n}", measure, edges))
         for kind, n in GRAPH_MODELS:
-            wide = graph_edges(sa1, sa2, kind, n)
+            wide = graph_edges(*sa, kind, n)
             for measure, edges in _emit(wide, GRAPH_MEASURES):
                 produced.append(("sa_syn", f"graph-{kind}{n}", measure, edges))
 
     if "sb_syn" in families:
-        wide = _per_side1(spark, sb1, lambda pdf: [schema_based_edges(pdf, sb2)])
+        side1, side2 = sb
+        wide = _per_side1(spark, side1, lambda pdf: [schema_based_edges(pdf, side2)])
         for measure, edges in _emit(wide, SCHEMA_BASED_MEASURES):
             produced.append(("sb_syn", attr, measure, edges))
 
-    for family, t1, t2 in (("sb_sem", sb1, sb2), ("sa_sem", sa1, sa2)):
+    for family, texts in (("sb_sem", sb), ("sa_sem", sa)):
         if family not in families:
             continue
-        wide = _semantic(spark, t1, t2)
+        wide = _semantic(spark, *texts)
         for model in SEMANTIC_MODELS:
             per_model = wide.rename(
                 columns={f"{model}_{m}": m for m in SEMANTIC_MEASURES}
@@ -157,8 +173,9 @@ def build_dataset_graphs(
     for family, model, measure, edges in produced:
         graph_id = f"{spec.name}__{family}__{model}__{measure}"
         path = os.path.join(out_dir, f"{graph_id}.parquet")
-        edges.to_parquet(path)
-        keys = edges["v1"].to_numpy(np.int64) * span + edges["v2"].to_numpy(np.int64)
+        v1, v2, w = (edges[c].to_numpy() for c in ("v1", "v2", "w"))
+        pq.write_table(pa.table({"v1": v1, "v2": v2, "w": w}), path)
+        keys = v1.astype(np.int64) * span + v2.astype(np.int64)
         covered = np.isin(keys, gt_keys).sum()
         rows.append(
             {
@@ -168,7 +185,7 @@ def build_dataset_graphs(
                 "family": family,
                 "model": model,
                 "measure": measure,
-                "n_edges": int(len(edges)),
+                "n_edges": len(w),
                 "gt_covered": int(covered),
                 "n_gt": int(len(gt_keys)),
                 "path": path,

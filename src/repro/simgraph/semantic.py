@@ -13,7 +13,8 @@ graph density for semantic inputs) with a comparatively weak signal.
   token vectors.
 * ``pseudo-ALBERT``: token vectors additionally mixed with a sinusoidal
   positional modulation, so token order affects the embedding
-  (a stand-in for contextual encoding).
+  (a stand-in for contextual encoding). The modulation factors are one
+  (position, dim) table per call of ``_embed``, which embeds a whole side.
 
 Similarities: Cosine, Euclidean similarity 1/(1+d) and relaxed Word
 Mover's similarity 1/(1+rWMD), where rWMD is the standard linear-time
@@ -86,22 +87,38 @@ def token_vector(token: str, model: str) -> np.ndarray:
     return v
 
 
+def _embed(texts, model: str) -> np.ndarray:
+    """(len(texts), dim) float32 embeddings: per text, the (positionally
+    modulated) mean of its token vectors, unit-normalised; zero for a
+    text with no token.
+
+    pseudo-ALBERT's factors ``1 + 0.3 sin(phase / dim * pi * (pos + 1))``
+    are one (longest text's token count, dim) table per call, row ``pos``
+    computed alone so each factor is what a per-token call gives.
+    """
+    dim = _DIM[model]
+    toks = [tokens(t) for t in texts]
+    if model == "albert":  # order-sensitive positional modulation
+        phase = np.arange(dim, dtype=np.float32)
+        factors = np.empty((max(map(len, toks), default=0), dim), np.float32)
+        for pos, row in enumerate(factors):
+            row[:] = 1.0 + 0.3 * np.sin(phase / dim * np.pi * (pos + 1))
+    out = np.zeros((len(toks), dim), dtype=np.float32)
+    for row, tk in zip(out, toks):
+        if not tk:
+            continue
+        vs = np.stack([token_vector(t, model) for t in tk])
+        if model == "albert":
+            vs *= factors[: len(tk)]
+        m = vs.mean(axis=0)
+        norm = np.linalg.norm(m)
+        row[:] = m / norm if norm > 0 else m
+    return out
+
+
 def embed_text(text: str, model: str) -> np.ndarray:
     """Entity/value embedding: (positionally modulated) mean of tokens."""
-    space = _space(model)
-    toks = tokens(text)
-    if not toks:
-        return np.zeros(space.dim, dtype=np.float32)
-    vs = []
-    for pos, tok in enumerate(toks):
-        v = token_vector(tok, model)
-        if model == "albert":  # order-sensitive positional modulation
-            phase = np.arange(space.dim, dtype=np.float32)
-            v = v * (1.0 + 0.3 * np.sin(phase / space.dim * np.pi * (pos + 1)))
-        vs.append(v)
-    m = np.mean(vs, axis=0)
-    norm = np.linalg.norm(m)
-    return m / norm if norm > 0 else m
+    return _embed([text], model)[0]
 
 
 def token_matrix(text: str, model: str) -> np.ndarray:
@@ -178,8 +195,7 @@ def semantic_edges(
     Returns a frame (v1, v2, cosine, euclid_sim, wms) over *all* pairs
     (semantic scores are dense, per the paper).
     """
-    e1 = np.stack([embed_text(t, model) for t in texts1["text"]]).astype(np.float64)
-    e2 = np.stack([embed_text(t, model) for t in texts2["text"]]).astype(np.float64)
+    e1, e2 = (_embed(t["text"], model).astype(np.float64) for t in (texts1, texts2))
     ids1 = texts1["id"].to_numpy(np.int64)
     ids2 = texts2["id"].to_numpy(np.int64)
 

@@ -18,8 +18,10 @@ matrices over the grams both sides share (``ngrams.gram_counts``). The
 five edit DPs and Jaro run over ``_STRING_BATCH`` flattened pairs at a
 time, on a grid as wide as the batch's longest value: both take one step
 per character position of the side-1 values, each step a few numpy ops
-over all pairs of the batch. Monge-Elkan reads one Jaro table over the
-distinct tokens of both sides. No Python loop runs per pair or per cell.
+over all pairs of the batch; within a DP step the running min or max
+along the side-2 positions is one in-place ufunc call per position.
+Monge-Elkan reads one Jaro table over the distinct tokens of both sides.
+No Python loop runs per pair or per cell.
 """
 from __future__ import annotations
 
@@ -90,7 +92,9 @@ def _edit_family(
     from the row above, its left neighbour makes the row a running min
     or max: Levenshtein and OSA cur[j] = j + min_{k<=j}(x[k] - k), NW
     cur[j] = -2j + max_{k<=j}(x[k] + 2k), LCS-seq a plain running max.
-    Every cell is a small integer in float32, so all of this is exact.
+    The running min or max is taken in place, one position of b after
+    the other, each step one ufunc call over all pairs. Every cell is a
+    small integer in float32, so all of this is exact.
     """
     n = len(la)
     a, b = a[: la.max(initial=0)], b[: lb.max(initial=0)]
@@ -98,7 +102,10 @@ def _edit_family(
 
     def along_b(first, x, running, slope):  # the row from its column 0 and x[1:]
         x = np.concatenate((np.full((1, n), first, np.float32), x)) - slope * j
-        return running.accumulate(x, axis=0) + slope * j
+        for k in range(1, len(x)):  # one call per position, over all pairs
+            running(x[k - 1], x[k], out=x[k])
+        x += slope * j
+        return x
 
     lev = dam = np.repeat(j, n, axis=1)
     nw, seq = -2 * lev, np.zeros_like(lev)

@@ -13,8 +13,10 @@ from repro.datasets.generator import DatasetSpec, generate_pandas
 from repro.experiments.baselines import ditto_lite, zeroer_lite
 from repro.experiments.runner import run_sweep
 from repro.experiments.tables import table7
+from repro.simgraph import build
 from repro.simgraph.build import FAMILIES, _emit, build_dataset_graphs, minmax
 from repro.simgraph.strings import SCHEMA_BASED_MEASURES, schema_based_batch
+from repro.simgraph.vectors import VECTOR_MEASURES
 
 TINY = DatasetSpec(
     name="TT", label="tiny", domain="restaurant", n1=30, n2=60, n_dups=15,
@@ -110,6 +112,45 @@ class TestBuild:
         ]
         # the paper's Table 3: semantic inputs cover ~100% of all pairs
         assert (sem["n_edges"] == TINY.n1 * TINY.n2).all()
+
+
+def test_written_graphs_read_back_as_emitted(spark, tmp_path, monkeypatch):
+    """Every graph file reads back equal, in values, dtypes and index, to
+    the frame ``_emit`` yields for it: among them a graph whose raw
+    weights are all equal, one with no positive weight and one of
+    float32 weights."""
+    real_vectors, real_emit = build.dense_vector_edges, build._emit
+
+    def vectors(texts1, texts2, kind, n):
+        wide = real_vectors(texts1, texts2, kind, n)
+        equal, empty, single = VECTOR_MEASURES[:3]
+        wide[equal], wide[empty] = np.full(len(wide), 0.7, np.float32), 0.0
+        wide[single] = wide[single].astype(np.float32)
+        return wide
+
+    emitted = []
+
+    def emit(wide, measures):
+        for measure, edges in real_emit(wide, measures):
+            emitted.append(edges)
+            yield measure, edges
+
+    monkeypatch.setattr(build, "dense_vector_edges", vectors)
+    monkeypatch.setattr(build, "_emit", emit)
+    manifest = build_dataset_graphs(spark, TINY, str(tmp_path), ["sa_syn"])
+    assert len(emitted) == len(manifest)
+    for edges, (_, row) in zip(emitted, manifest.iterrows()):
+        got = pd.read_parquet(row["path"])
+        pd.testing.assert_frame_equal(got, edges, check_exact=True)
+        assert row["n_edges"] == len(edges)
+        if row["model"].startswith("vector-"):
+            w = edges["w"]
+            if row["measure"] == VECTOR_MEASURES[0]:
+                assert len(w) and w.dtype == np.float64 and (w == 1.0).all()
+            elif row["measure"] == VECTOR_MEASURES[1]:
+                assert w.empty
+            elif row["measure"] == VECTOR_MEASURES[2]:
+                assert w.dtype == np.float32
 
 
 def test_build_jobs_and_tasks_per_family(spark, tmp_path):

@@ -5,9 +5,12 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.simgraph.ngrams import tokens
 from repro.simgraph.semantic import (
+    _DIM,
     SEMANTIC_MEASURES,
     SEMANTIC_MODELS,
+    _embed,
     embed_text,
     semantic_edges,
     token_vector,
@@ -50,6 +53,37 @@ class TestOrderSensitivity:
         a = embed_text("red fast car", "albert")
         b = embed_text("car fast red", "albert")
         assert not np.allclose(a, b, atol=1e-3)
+
+
+def _albert_per_token(text: str) -> np.ndarray:
+    """pseudo-ALBERT's embedding with the modulation factors computed
+    token by token."""
+    dim = _DIM["albert"]
+    vs = []
+    for pos, tok in enumerate(tokens(text)):
+        phase = np.arange(dim, dtype=np.float32)
+        vs.append(
+            token_vector(tok, "albert")
+            * (1.0 + 0.3 * np.sin(phase / dim * np.pi * (pos + 1)))
+        )
+    if not vs:
+        return np.zeros(dim, dtype=np.float32)
+    m = np.mean(vs, axis=0)
+    norm = np.linalg.norm(m)
+    return m / norm if norm > 0 else m
+
+
+def test_albert_embeddings_equal_per_token_reference():
+    """On texts of 0 to 15 tokens, one at a time and as one batch (one
+    factor table for all), the embeddings equal the per-token formula
+    bit for bit."""
+    words = ["red", "fast", "car", "capacitor", "x", "red", "blue"]
+    texts = [" ".join(words[k % len(words)] for k in range(n)) for n in range(16)]
+    batch = _embed(texts, "albert")
+    for text, row in zip(texts, batch):
+        want = _albert_per_token(text)
+        for got in (embed_text(text, "albert"), row):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), text
 
 
 class TestSemanticEdges:

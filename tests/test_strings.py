@@ -262,6 +262,7 @@ def _expected(a: str, b: str) -> dict[str, float]:
 @example(side1=[LONG, MANY, "ab", ""], side2=["", "", ""])
 @example(side1=["", ""], side2=[LONG[:29], LONG[:30], LONG[:31], LONG + " " + MANY[:5]])
 @example(side1=[MANY, LONG + " a"], side2=[MANY[::-1], "dcba" * 10])
+@example(side1=["", LONG, "b", ""], side2=["dcba" * 10, "", MANY, ""])
 @settings(max_examples=60, deadline=None)
 def test_batched_edit_jaro_and_monge_elkan_equal_scalar_references(side1, side2):
     """Over batches that mix value lengths across _MAX_LEN, the five DP
